@@ -272,23 +272,37 @@ func TestWriterResetZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chunk-aligned all-hit payload: every basis is frozen in the dict.
-	payload := corpus[:1<<15]
-	cycle := func() {
-		zw.Reset(io.Discard)
-		if _, err := zw.Write(payload); err != nil {
-			t.Fatal(err)
+	// All-hit payloads (every basis is frozen in the dict): one
+	// chunk-aligned, one ending in a raw tail group like nearly every
+	// HTTP body does.
+	for _, payload := range [][]byte{corpus[:1<<15], corpus[:1<<15+7]} {
+		cycle := func() {
+			zw.Reset(io.Discard)
+			if _, err := zw.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
+		cycle() // warmup: scratch growth is amortised setup, not steady state
+		if zw.Stats.Misses != 0 {
+			t.Fatalf("warm dictionary missed %d chunks — payload not covered by dict", zw.Stats.Misses)
 		}
-	}
-	cycle() // warmup: scratch growth is amortised setup, not steady state
-	if zw.Stats.Misses != 0 {
-		t.Fatalf("warm dictionary missed %d chunks — payload not covered by dict", zw.Stats.Misses)
-	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("pooled Reset+encode = %v allocs/op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("pooled Reset+encode of %d bytes = %v allocs/op, want 0", len(payload), allocs)
+		}
+		// The one-shot path into a pre-sized destination is the same
+		// engine behind a pool.
+		dst := make([]byte, 0, len(payload))
+		oneShot := func() { dst = zw.EncodeAll(payload, dst[:0]) }
+		oneShot()
+		if raceEnabled {
+			continue // sync.Pool drops puts under -race by design
+		}
+		if allocs := testing.AllocsPerRun(100, oneShot); allocs != 0 {
+			t.Fatalf("EncodeAll of %d bytes into a pre-sized dst = %v allocs/op, want 0", len(payload), allocs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, one target per artifact (DESIGN.md §4). Each benchmark
-// reports its headline quantity through b.ReportMetric, so
+// evaluation, one target per artifact (internal/experiments/doc.go
+// lists them). Each benchmark reports its headline quantity through
+// b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

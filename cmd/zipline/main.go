@@ -5,6 +5,7 @@
 //	zipline -c -p 8 < input > output.zl          # parallel (v2 container)
 //	zipline -c -index < input > output.zl        # seekable (v4 container)
 //	zipline -d < output.zl > input
+//	zipline -d -p 4 < output.zl > input          # decode lanes; any sharded or indexed stream, pipes included
 //	zipline -d -seek 4096:1024 < output.zl       # random access via the index
 //	zipline -stats -c < input > /dev/null
 //
@@ -44,7 +45,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	train := fs.Bool("train", false, "train a shared dictionary from stdin and write it to the -dict path")
 	m := fs.Int("m", 8, "Hamming parameter (3..15): chunks are 2^m bits")
 	idBits := fs.Int("idbits", 15, "dictionary identifier width in bits (1..24)")
-	workers := fs.Int("p", 1, "parallel workers for -c: >1 compresses with the sharded container, 0 = all CPUs (decompression always follows the stream's shard count)")
+	workers := fs.Int("p", 1, "parallel workers: with -c, >1 compresses with the sharded container; with -d, the decode lanes a sharded or -index stream may use (default all CPUs); 0 = all CPUs")
 	dictPath := fs.String("dict", "", "shared dictionary file: output of -train, input of -c/-d (its training configuration overrides -m/-idbits)")
 	index := fs.Bool("index", false, "with -c: write the seekable v4 container (block index + dictionary checkpoints in a trailing footer)")
 	seekSpec := fs.String("seek", "", "with -d: decompress only OFF:LEN — seek to uncompressed offset OFF and emit LEN bytes (needs a seekable input; fastest on -index streams)")
@@ -76,6 +77,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// v2 container does not have.
 		fmt.Fprintln(stderr, "zipline: -index requires the serial writer (-p 1)")
 		return 2
+	}
+	if *decompress {
+		// Decoding defaults to every CPU; an explicit -p narrows it.
+		explicit := false
+		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "p" })
+		if !explicit {
+			*workers = 0
+		}
 	}
 	if *seekSpec != "" && !*decompress {
 		fmt.Fprintln(stderr, "zipline: -seek only applies to -d")
@@ -170,7 +179,7 @@ func pipe(stdin io.Reader, stdout, stderr io.Writer, compress bool, cfg zipline.
 			return err
 		}
 	} else {
-		zr, err := zipline.NewReader(in, append(opts, zipline.WithWorkers(0))...)
+		zr, err := zipline.NewReader(in, append(opts, zipline.WithWorkers(workers))...)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -152,6 +153,24 @@ func TestIndexRoundTripAndSeek(t *testing.T) {
 	}
 	if !bytes.Equal(back.Bytes(), data) {
 		t.Fatal("indexed round trip failed")
+	}
+	// …and from a pipe — no Seek, no ReadAt — on four decode lanes,
+	// with the same bytes and the same counters.
+	pr, pw := io.Pipe()
+	go func() {
+		_, err := pw.Write(comp.Bytes())
+		pw.CloseWithError(err)
+	}()
+	back.Reset()
+	errw.Reset()
+	if code := run([]string{"-d", "-p", "4", "-stats"}, pr, &back, &errw); code != 0 {
+		t.Fatalf("piped -d -p 4 exit %d: %s", code, errw.String())
+	}
+	if !bytes.Equal(back.Bytes(), data) {
+		t.Fatal("piped indexed round trip on 4 lanes failed")
+	}
+	if !strings.Contains(errw.String(), "chunks=3000") || !strings.Contains(errw.String(), "tail=2") {
+		t.Fatalf("lane stats: %q", errw.String())
 	}
 	// Random access windows, including ones crossing checkpoint
 	// boundaries and the unchunked tail bytes.

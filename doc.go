@@ -38,6 +38,7 @@
 //
 // The implementation details live in internal/ packages (bit-level
 // CRC engine, Hamming codes, the Tofino pipeline model, the network
-// simulator); see DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// simulator), each with a doc.go stating its paper section and
+// invariants; the README's "How the repo maps to the paper" section is
+// the system inventory.
 package zipline

@@ -192,9 +192,11 @@ func decompressParallel(data []byte) ([]byte, error) {
 // must never panic, deadlock or leak its workers — and whenever both
 // the serial and the parallel decoder accept an input, they must
 // produce identical bytes (the decoders share one format authority;
-// this keeps them honest). The corpus seeds the interesting failure
-// classes: truncation at every framing boundary and shard numbers
-// that exceed the header's count.
+// this keeps them honest), and streaming on four lanes from a
+// non-seekable source must match serial streaming exactly: the same
+// bytes, or both fail. The corpus seeds the interesting failure
+// classes: truncation at every framing boundary, shard numbers that
+// exceed the header's count, and forged checkpoint placements.
 func FuzzParallelReader(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("not a stream"))
@@ -232,7 +234,11 @@ func FuzzParallelReader(f *testing.F) {
 		f.Add(comp)
 		f.Add(append([]byte(nil), comp[:len(comp)-7]...))
 	}
+	for _, seed := range laneSeeds(f) {
+		f.Add(seed.comp)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		differentialLanes(t, data)
 		pOut, pErr := decompressParallel(data)
 		if pErr == nil && len(pOut) > 1<<26 {
 			t.Fatalf("implausible expansion: %d bytes", len(pOut))

@@ -23,16 +23,15 @@ const goldenDir = "testdata/golden"
 // every container ends in a raw tail group).
 const goldenInputLen = 2*defaultSegmentBytes + 40_000 + 13
 
-// goldenStreams names every committed container and the Writer options
-// that produce it.
-func goldenStreams(dict *Dict) []struct {
+// goldenStream is one committed container and the Writer options that
+// produce it.
+type goldenStream struct {
 	file string
 	opts []Option
-} {
-	return []struct {
-		file string
-		opts []Option
-	}{
+}
+
+func goldenStreams(dict *Dict) []goldenStream {
+	return []goldenStream{
 		{"v1.zl", nil},
 		{"v2-w3.zl", []Option{WithWorkers(3)}},
 		{"v3-dict.zl", []Option{WithDict(dict)}},

@@ -1,8 +1,10 @@
 // Package experiments reproduces every table and figure of the
 // paper's evaluation (§7) on the simulated testbed, plus the ablation
-// studies DESIGN.md calls out. Each experiment is a pure function
-// returning structured results; cmd/zipline-bench renders them in
-// paper layout and bench_test.go wraps them as Go benchmarks.
+// studies (padding, m sweep, dictionary size, GD versus plain
+// deduplication) the README's Benchmarks section points at. Each
+// experiment is a pure function returning structured results;
+// cmd/zipline-bench renders them in paper layout and bench_test.go
+// wraps them as Go benchmarks.
 //
 // Two invariants hold across the suite. Determinism: every experiment
 // is a function of its seed — same seed, same tables, bit for bit —

@@ -8,7 +8,7 @@ import (
 // EtherType values distinguishing the three ZipLine packet types.
 // They live in the IEEE "experimental/local" range; the paper does
 // not publish its discriminator values, so these are this
-// implementation's choice (documented in DESIGN.md).
+// implementation's choice.
 const (
 	// EtherTypeRaw tags type 1 traffic generated by the testbed
 	// hosts. Any other EtherType is also treated as type 1 by the

@@ -401,8 +401,7 @@ func (p *Program) Bypassing() bool { return p.bypass }
 // compressed: the paper transforms "any Ethernet packet" but does not
 // specify how the original EtherType would be restored on decode, so
 // this implementation makes the conservative choice of compressing
-// exactly the traffic the decoder can reconstruct losslessly
-// (documented in DESIGN.md).
+// exactly the traffic the decoder can reconstruct losslessly.
 func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out []tofino.Emit) []tofino.Emit {
 	// The header fields are read in place (no Header struct, no MAC
 	// copies): only the EtherType gates the path, and the rewritten

@@ -47,8 +47,9 @@ func WithConfig(cfg Config) Option { return cfg }
 // 1 — the default — is the serial path; n > 1 selects the sharded
 // parallel engine with one basis-dictionary shard per worker (capped
 // at 255, the widest shard count the container records); 0 means
-// GOMAXPROCS. A parallel Reader still follows the stream's shard
-// count — workers only enable concurrent shard decoding.
+// GOMAXPROCS. A parallel Reader follows the stream: one decode lane
+// per recorded shard, or n lanes sharing a single-shard indexed
+// (WithIndex) stream checkpoint by checkpoint.
 func WithWorkers(n int) Option {
 	return optionFunc(func(s *settings) error {
 		if n < 0 {

@@ -1,27 +1,28 @@
 package zipline
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"sync"
 
 	"zipline/internal/bitvec"
 )
 
-// Parallel streaming engine (container versions 2 and 3).
+// Parallel streaming engines. Both sides keep the same shape: groups
+// cross a bounded in-order queue, and each goes to the one goroutine
+// that owns its dictionary timeline.
 //
-// A Writer configured with WithWorkers(n > 1) splits its input into
-// large fixed-size segments and fans them out to n workers,
-// pgzip-style. Worker w owns basis dictionary shard w and encodes
-// segments seq ≡ w (mod n) in order, so each shard's identifier
-// assignment evolves deterministically; a collector goroutine emits
-// the encoded groups strictly in segment order under the grouped
-// framing (stream.go), which records the shard per group. A Reader
-// configured with WithWorkers(n > 1) runs the mirror image: a pump
-// goroutine reads groups in order and dispatches each to its shard's
-// decode worker, and Read reassembles the decoded segments in stream
-// order.
+// Encode (container versions 2 and 3): a Writer configured with
+// WithWorkers(n > 1) splits its input into large fixed-size segments
+// and fans them out to n workers, pgzip-style. Worker w owns basis
+// dictionary shard w and encodes segments seq ≡ w (mod n) in order, so
+// each shard's identifier assignment evolves deterministically; a
+// collector goroutine emits the encoded groups strictly in segment
+// order through the Writer's one group emitter (stream.go), which
+// records the shard per group.
+//
+// Decode (any grouped version): a Reader configured with
+// WithWorkers(n > 1) runs parReader (below) over any io.Reader, pipes
+// included.
 //
 // Sharding trades a little compression for parallelism: each shard
 // only learns from the segments it encodes, so cross-shard duplicate
@@ -29,7 +30,9 @@ import (
 // (WithDict) puts the hot bases in every shard from the first chunk.
 // With segments of 128 KiB the loss is small on the paper's
 // workloads, and throughput scales with cores — the software analogue
-// of ZipLine running one GD pipeline per switch port.
+// of ZipLine running one GD pipeline per switch port. Checkpoints cost
+// the same way: each one re-learns the dictionary from the frozen
+// prefix.
 
 // defaultSegmentBytes is the input segment handed to each worker. It
 // is a multiple of every valid chunk size (chunks are 2^(M-3) ≤ 4096
@@ -42,7 +45,6 @@ const maxShards = 255
 
 // pwJob carries one input segment through an encode worker.
 type pwJob struct {
-	seq   uint32
 	shard uint8
 	data  []byte         // input segment (owned by the job until collected)
 	block *bitvec.Writer // encoded records
@@ -57,8 +59,6 @@ type pwJob struct {
 // Writer holds no goroutines between streams; the segment and block
 // pools persist across streams.
 type parEngine struct {
-	codec   *Codec
-	dict    *Dict
 	shards  int
 	segSize int
 
@@ -67,11 +67,10 @@ type parEngine struct {
 	order         chan *pwJob
 	collectorDone chan struct{}
 
-	w     io.Writer    // destination, latched at start
-	stats *StreamStats // -> Writer.Stats, latched at start
+	zw *Writer // owner: the collector emits through its writeGroup
 
 	pending []byte // partial input segment
-	seq     uint32
+	seq     uint32 // segments dispatched
 
 	bufPool   sync.Pool // segment input buffers
 	blockPool sync.Pool // *bitvec.Writer block buffers
@@ -80,13 +79,13 @@ type parEngine struct {
 	werr error // first encode/write error, set by the collector
 }
 
-func newParEngine(codec *Codec, set settings) *parEngine {
-	cs := codec.ChunkSize()
+func newParEngine(zw *Writer) *parEngine {
+	cs := zw.codec.ChunkSize()
 	segSize := defaultSegmentBytes
 	if rem := segSize % cs; rem != 0 {
 		segSize += cs - rem
 	}
-	pe := &parEngine{codec: codec, dict: set.dict, shards: set.workers, segSize: segSize}
+	pe := &parEngine{zw: zw, shards: zw.set.workers, segSize: segSize}
 	pe.bufPool.New = func() any { return make([]byte, 0, segSize) }
 	pe.blockPool.New = func() any { return bitvec.NewWriter(segSize/cs*4 + 256) }
 	return pe
@@ -107,12 +106,11 @@ func (pe *parEngine) error() error {
 }
 
 // start spins up the workers and collector for one stream.
-func (pe *parEngine) start(zw *Writer) {
+func (pe *parEngine) start() {
 	if pe.running {
 		return
 	}
 	pe.running = true
-	pe.w, pe.stats = zw.w, &zw.Stats
 	pe.jobs = make([]chan *pwJob, pe.shards)
 	pe.order = make(chan *pwJob, 2*pe.shards)
 	pe.collectorDone = make(chan struct{})
@@ -159,8 +157,8 @@ func (pe *parEngine) reset() {
 // clear the engine's channel slice before a freshly spawned worker
 // gets scheduled.
 func (pe *parEngine) worker(jobs <-chan *pwJob) {
-	enc := newBlockEncoder(pe.codec, pe.dict)
-	cs := pe.codec.ChunkSize()
+	enc := newBlockEncoder(pe.zw.codec, pe.zw.set.dict)
+	cs := pe.zw.codec.ChunkSize()
 	for job := range jobs {
 		enc.block, enc.stats = job.block, &job.stats
 		for off := 0; off < len(job.data) && job.err == nil; off += cs {
@@ -172,6 +170,9 @@ func (pe *parEngine) worker(jobs <-chan *pwJob) {
 
 // collect writes finished groups to the underlying writer in segment
 // order. It keeps draining after a failure so dispatchers never block.
+// Between start and shutdown the collector is the only goroutine
+// emitting, so it borrows the Writer's group emitter (and its scratch
+// and sequence counter) outright.
 func (pe *parEngine) collect(order <-chan *pwJob, done chan<- struct{}) {
 	defer close(done)
 	failed := false
@@ -180,13 +181,13 @@ func (pe *parEngine) collect(order <-chan *pwJob, done chan<- struct{}) {
 		if !failed {
 			err := job.err
 			if err == nil {
-				err = pe.writeGroup(job)
+				err = pe.zw.writeGroup(job.block.Bytes(), uint32(job.block.Len()), job.shard, 0)
 			}
 			if err != nil {
 				pe.setErr(err)
 				failed = true
 			} else {
-				pe.stats.add(job.stats)
+				pe.zw.Stats.add(job.stats)
 			}
 		}
 		job.block.Reset()
@@ -195,26 +196,12 @@ func (pe *parEngine) collect(order <-chan *pwJob, done chan<- struct{}) {
 	}
 }
 
-func (pe *parEngine) writeGroup(job *pwJob) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(job.block.Bytes())))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(job.block.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], job.seq)
-	hdr[12] = job.shard
-	if _, err := pe.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := pe.w.Write(job.block.Bytes())
-	return err
-}
-
 // dispatch hands a chunk-aligned segment to its shard's worker and
 // registers it with the collector, starting the engine if needed.
-func (pe *parEngine) dispatch(zw *Writer, seg []byte) {
-	pe.start(zw)
+func (pe *parEngine) dispatch(seg []byte) {
+	pe.start()
 	shard := int(pe.seq) % pe.shards
 	job := &pwJob{
-		seq:   pe.seq,
 		shard: uint8(shard),
 		data:  seg,
 		block: pe.blockPool.Get().(*bitvec.Writer),
@@ -243,7 +230,7 @@ func (zw *Writer) parWrite(p []byte) (int, error) {
 		pe.pending = append(pe.pending, p[:take]...)
 		p = p[take:]
 		if len(pe.pending) == pe.segSize {
-			pe.dispatch(zw, pe.pending)
+			pe.dispatch(pe.pending)
 			pe.pending = nil
 			// Re-check the latch per segment so a large Write stops
 			// segmenting (and the workers stop encoding) as soon as
@@ -256,63 +243,34 @@ func (zw *Writer) parWrite(p []byte) (int, error) {
 	return n, nil
 }
 
-// parClose is Writer.Close for workers > 1: it dispatches the final
-// partial segment, waits for every worker, then writes the tail and
-// trailer groups.
-func (zw *Writer) parClose() error {
+// parDrain is the sharded half of Writer.Close: it dispatches the final
+// partial segment (parking its sub-chunk remainder in zw.pending for
+// finish to emit as the raw tail) and waits for every worker.
+func (zw *Writer) parDrain() error {
 	pe := zw.par
-	var tail []byte
 	if len(pe.pending) > 0 {
 		cs := zw.codec.ChunkSize()
 		full := len(pe.pending) / cs * cs
 		// The sub-chunk remainder must outlive the recycled buffer.
-		tail = append([]byte(nil), pe.pending[full:]...)
+		zw.pending = append(zw.pending[:0], pe.pending[full:]...)
 		if full > 0 {
-			pe.dispatch(zw, pe.pending[:full]) // collector recycles the buffer
+			pe.dispatch(pe.pending[:full]) // collector recycles the buffer
 		} else {
 			pe.bufPool.Put(pe.pending[:0])
 		}
 		pe.pending = nil
 	}
 	pe.shutdown()
-	if err := pe.error(); err != nil {
-		return err
-	}
-	if err := zw.writeHeader(); err != nil { // empty stream: nothing dispatched
-		return err
-	}
-	return zw.parFinish(tail)
+	return pe.error()
 }
 
-// parFinish writes the tail group (if any) and the trailer.
-func (zw *Writer) parFinish(tail []byte) error {
-	if len(tail) > 0 {
-		zw.Stats.TailBytes = uint64(len(tail))
-		body := appendTailBlock(make([]byte, 0, 3+len(tail)), tail)
-		hdr := zw.scratch[:16]
-		for i := range hdr {
-			hdr[i] = 0
-		}
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(body)*8)|tailBlockFlag)
-		binary.LittleEndian.PutUint32(hdr[8:], zw.par.seq)
-		if _, err := zw.w.Write(hdr); err != nil {
-			return err
-		}
-		if _, err := zw.w.Write(body); err != nil {
-			return err
-		}
-	}
-	return zw.writeTrailer()
-}
-
-// prJob carries one group through a decode worker.
+// prJob carries one group through a decode lane.
 type prJob struct {
-	body   []byte
-	bitLen int
-	out    []byte
-	err    error
-	done   chan struct{}
+	h    groupHeader
+	body []byte
+	out  []byte
+	err  error
+	done chan struct{}
 }
 
 // closedChan is a pre-closed done channel for jobs that need no work.
@@ -322,22 +280,38 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// parReader decodes a sharded stream with one worker per shard — the
-// engine a Reader with workers > 1 starts once the header reveals a
-// grouped multi-shard container.
+// parReader is the one concurrent decode engine: the pump walks the
+// container's groups in order from any io.Reader and deals each record
+// group to a lane — a goroutine owning one basis dictionary — while
+// Read stitches the lanes' output back together in stream order. What
+// makes that lossless is that every group of one dictionary timeline
+// reaches the same lane, in order:
+//
+//   - a sharded stream (v2/v3) has one timeline per shard, recorded in
+//     each group header, so lane == shard;
+//   - a single-shard indexed stream (v4) has one timeline that the
+//     encoder cut at every checkpoint by resetting its dictionary to the
+//     frozen prefix. A checkpoint group depends on nothing before it, so
+//     a checkpoint is a lane switch: the pump advances round-robin to
+//     the next of `workers` lanes, whose decoder replays the reset
+//     (decodeGroup) and carries on from there.
+//
+// The lanes replay exactly what the serial Reader replays, group for
+// group, so a forged container — checkpoint flags on a sharded stream,
+// a first group without one — decodes to the same bytes or fails on
+// both.
 type parReader struct {
-	codec   *Codec
-	dict    *Dict
-	shards  int
-	version uint8
-	jobs    []chan *prJob
-	order   chan *prJob
-	stop    chan struct{}
-	once    sync.Once
+	gr    groupReader // the pump's until it closes order, then read's
+	codec *Codec
+	dict  *Dict
+	lanes []chan *prJob
+	order chan *prJob
+	stop  chan struct{}
+	once  sync.Once
 
-	shardStats []StreamStats
-	pumpTail   uint64
-	pumpErr    error // set by the pump before it closes order
+	laneStats []StreamStats
+	pumpTail  uint64
+	pumpErr   error // set by the pump before it closes order
 
 	// Buffer recycling, mirroring the writer's pools: compressed group
 	// bodies go back to bodyPool once decoded, decoded segments go
@@ -349,43 +323,46 @@ type parReader struct {
 	curBuf []byte // full backing of cur, recycled when drained
 }
 
-// newParReader starts the decode workers and the pump for the stream
+// newParReader starts the decode lanes and the pump for the stream
 // whose header zr has just parsed.
 func newParReader(zr *Reader) *parReader {
-	pr := &parReader{
-		codec:      zr.codec,
-		dict:       zr.streamDict,
-		shards:     zr.shards,
-		version:    zr.version,
-		jobs:       make([]chan *prJob, zr.shards),
-		order:      make(chan *prJob, 2*zr.shards),
-		stop:       make(chan struct{}),
-		shardStats: make([]StreamStats, zr.shards),
+	lanes := zr.gr.shards
+	if lanes == 1 {
+		lanes = zr.set.workers
 	}
-	for i := range pr.jobs {
-		pr.jobs[i] = make(chan *prJob, 2)
+	pr := &parReader{
+		gr:        zr.gr,
+		codec:     zr.codec,
+		dict:      zr.streamDict,
+		lanes:     make([]chan *prJob, lanes),
+		order:     make(chan *prJob, 2*lanes),
+		stop:      make(chan struct{}),
+		laneStats: make([]StreamStats, lanes),
+	}
+	for i := range pr.lanes {
+		pr.lanes[i] = make(chan *prJob, 2)
 		go pr.worker(i)
 	}
-	go pr.pump(zr.r)
+	go pr.pump()
 	return pr
 }
 
-// worker decodes this shard's groups in arrival order against the
-// shard's persistent dictionary. The dictionary is built on the first
-// group so a corrupt header's shard count cannot force up-front
-// allocation of hundreds of full-capacity dictionaries.
-func (pr *parReader) worker(shard int) {
+// worker decodes one lane's groups in arrival order against the lane's
+// persistent dictionary. The dictionary is built on the first group so
+// a corrupt header's shard count cannot force up-front allocation of
+// hundreds of full-capacity dictionaries.
+func (pr *parReader) worker(lane int) {
 	var dec *blockDecoder
-	for job := range pr.jobs[shard] {
+	for job := range pr.lanes[lane] {
 		if dec == nil {
-			dec = newBlockDecoder(pr.codec, &pr.shardStats[shard], pr.dict)
+			dec = newBlockDecoder(pr.codec, &pr.laneStats[lane], pr.dict)
 		}
 		var out []byte
 		if b, _ := pr.outPool.Get().([]byte); b != nil {
 			out = b[:0]
 		}
-		job.out, job.err = dec.decodeRecords(job.body, job.bitLen, out)
-		// The compressed body is dead once decoded; every worker-bound
+		job.out, job.err = dec.decodeGroup(job.h, job.body, out)
+		// The compressed body is dead once decoded; every lane-bound
 		// job's body came from bodyPool (tail jobs never reach here).
 		pr.bodyPool.Put(job.body[:0])
 		job.body = nil
@@ -393,45 +370,38 @@ func (pr *parReader) worker(shard int) {
 	}
 }
 
-// pump reads groups in stream order, dispatching each to its shard's
-// worker and to the in-order queue Read consumes from.
-func (pr *parReader) pump(r io.Reader) {
+// pump reads groups in stream order, dispatching each to its lane and
+// to the in-order queue Read consumes from. It stops at the trailer;
+// read finishes the walk (footer included) once the queue drains.
+func (pr *parReader) pump() {
 	defer func() {
-		for _, ch := range pr.jobs {
+		for _, ch := range pr.lanes {
 			close(ch)
 		}
 		close(pr.order)
 	}()
-	var nextSeq uint32
-	var hdr [16]byte
+	lane := len(pr.lanes) - 1 // the first checkpoint wraps to lane 0
 	for {
-		// Group flags are a v4 construct; v4 streams never reach this
-		// engine (Reader.start routes them serially or via idxReader).
-		byteLen, bitWord, shard, _, err := readBlockHeader(r, pr.version, &nextSeq, &hdr)
+		h, err := pr.gr.header()
 		if err != nil {
 			pr.pumpErr = err
 			return
 		}
-		if byteLen == 0 {
+		if h.byteLen == 0 {
 			return // trailer
 		}
-		tailGroup := bitWord&tailBlockFlag != 0
 		var body []byte
-		if !tailGroup {
+		if h.bitWord&tailBlockFlag == 0 {
 			// Tail bodies are never pooled: the decoded tail aliases
 			// them and lives until Read consumes it.
-			if b, _ := pr.bodyPool.Get().([]byte); cap(b) >= int(byteLen) {
-				body = b[:byteLen]
+			if b, _ := pr.bodyPool.Get().([]byte); cap(b) >= int(h.byteLen) {
+				body = b[:h.byteLen]
 			}
 		}
 		if body == nil {
-			body = make([]byte, byteLen)
+			body = make([]byte, h.byteLen)
 		}
-		if _, err := io.ReadFull(r, body); err != nil {
-			pr.pumpErr = fmt.Errorf("%w: block body: %w", ErrCorrupt, truncErr(err))
-			return
-		}
-		tail, isTail, err := classifyGroup(bitWord, shard, pr.shards, body)
+		tail, isTail, err := pr.gr.body(h, body)
 		if err != nil {
 			pr.pumpErr = err
 			return
@@ -441,16 +411,21 @@ func (pr *parReader) pump(r io.Reader) {
 			pr.pumpTail += uint64(len(tail))
 			job = &prJob{out: tail, done: closedChan}
 		} else {
-			job = &prJob{body: body, bitLen: int(bitWord), done: make(chan struct{})}
+			if pr.gr.shards > 1 {
+				lane = int(h.shard)
+			} else if h.flags&groupFlagCheckpoint != 0 {
+				lane = (lane + 1) % len(pr.lanes)
+			}
+			job = &prJob{h: h, body: body, done: make(chan struct{})}
 		}
 		select {
 		case pr.order <- job:
 		case <-pr.stop:
 			return
 		}
-		if job.body != nil {
+		if !isTail {
 			select {
-			case pr.jobs[shard] <- job:
+			case pr.lanes[lane] <- job:
 			case <-pr.stop:
 				return
 			}
@@ -467,11 +442,20 @@ func (pr *parReader) read(zr *Reader, p []byte) (int, error) {
 		}
 		job, ok := <-pr.order
 		if !ok {
-			if pr.pumpErr != nil {
-				zr.err = pr.pumpErr
-			} else {
+			// The pump has exited: at the trailer unless it recorded an
+			// error. Every decoded byte has been handed out, so zr.pos
+			// is what the stream decoded to.
+			if zr.err = pr.pumpErr; zr.err == nil {
+				zr.err = pr.gr.trailer(zr.pos)
+			}
+			if zr.err == nil {
+				// Every job's done channel has been observed, so the
+				// lanes' counters are visible: fold them in.
 				zr.err = io.EOF
-				pr.finalizeStats(zr)
+				zr.Stats = StreamStats{TailBytes: pr.pumpTail}
+				for _, s := range pr.laneStats {
+					zr.Stats.add(s)
+				}
 			}
 			return 0, zr.err
 		}
@@ -488,168 +472,10 @@ func (pr *parReader) read(zr *Reader, p []byte) (int, error) {
 	return n, nil
 }
 
-// finalizeStats folds the per-shard counters into the Reader's Stats
-// once the whole stream has been consumed (every job's done channel
-// has been observed, so the workers' writes are visible).
-func (pr *parReader) finalizeStats(zr *Reader) {
-	zr.Stats = StreamStats{TailBytes: pr.pumpTail}
-	for _, s := range pr.shardStats {
-		zr.Stats.add(s)
-	}
-}
-
 // release unblocks the pump so its goroutine can exit early.
 func (pr *parReader) release() {
 	//ziplint:allow noalloc one-time closure under sync.Once at stream teardown
 	pr.once.Do(func() { close(pr.stop) })
-}
-
-// segJob carries one checkpoint segment through an idxReader worker.
-type segJob struct {
-	seg   idxSegment
-	stats StreamStats
-	out   []byte
-	err   error
-	done  chan struct{}
-}
-
-// idxReader decodes an indexed single-shard (version-4) stream by
-// fanning its checkpoint segments out to a worker pool — the segment
-// scheduler that lets decode of a serially-written stream scale with
-// cores. Each segment starts at a dictionary checkpoint, so a worker
-// decodes it against a private dictionary reset to the frozen prefix,
-// independent of every other segment; read stitches the decoded
-// segments back together in stream order. A feeder goroutine meters
-// segments through bounded channels, so a caller that stops reading
-// stops the decoding (and its memory) too, exactly like parReader's
-// pump.
-type idxReader struct {
-	order chan *segJob
-	stop  chan struct{}
-	once  sync.Once
-
-	outPool sync.Pool // decoded segment buffers, recycled once drained
-
-	cur    []byte
-	curBuf []byte
-}
-
-// newIdxReader builds the segment scheduler for the stream whose
-// header zr has just parsed, loading and validating the trailing
-// index. It returns (nil, nil) when the fan-out does not apply — the
-// source is not an io.ReaderAt, or the index has fewer than two
-// segments — leaving the source repositioned for the serial path. A
-// corrupt or truncated footer is an error.
-func newIdxReader(zr *Reader) (*idxReader, error) {
-	ra, ok := zr.r.(io.ReaderAt)
-	if !ok || zr.seeker == nil {
-		return nil, nil
-	}
-	cur, err := zr.seeker.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, nil
-	}
-	ix, err := readIndexFooter(zr.seeker, zr.origin)
-	if err != nil {
-		return nil, err
-	}
-	zr.idx = ix
-	segs := ix.segments()
-	if len(segs) < 2 {
-		// One segment decodes as fast serially; rewind to the first
-		// group for the streaming path.
-		if _, err := zr.seeker.Seek(cur, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	workers := zr.set.workers
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	ir := &idxReader{
-		order: make(chan *segJob, 2*workers),
-		stop:  make(chan struct{}),
-	}
-	jobs := make(chan *segJob)
-	for i := 0; i < workers; i++ {
-		go ir.worker(jobs, zr.codec, zr.streamDict, zr.version, zr.shards, ra, zr.origin)
-	}
-	go func() {
-		defer close(jobs)
-		defer close(ir.order)
-		for i := range segs {
-			job := &segJob{seg: segs[i], done: make(chan struct{})}
-			select {
-			case ir.order <- job:
-			case <-ir.stop:
-				return
-			}
-			select {
-			case jobs <- job:
-			case <-ir.stop:
-				return
-			}
-		}
-	}()
-	return ir, nil
-}
-
-// worker decodes segments as the feeder hands them out, reusing one
-// decoder (dictionary reset per segment) and one body buffer.
-func (ir *idxReader) worker(jobs <-chan *segJob, codec *Codec, dict *Dict, version uint8, shards int, ra io.ReaderAt, origin int64) {
-	var dec *blockDecoder
-	var body []byte
-	for job := range jobs {
-		if dec == nil {
-			dec = newBlockDecoder(codec, &job.stats, dict)
-		} else {
-			dec.stats = &job.stats
-			dec.dict.Reset()
-		}
-		var out []byte
-		if b, _ := ir.outPool.Get().([]byte); b != nil {
-			out = b[:0]
-		}
-		seg := job.seg
-		sr := io.NewSectionReader(ra, origin+int64(seg.compStart), int64(seg.compEnd-seg.compStart))
-		job.out, body, job.err = decodeSegment(sr, dec, version, shards, seg, body, out)
-		close(job.done)
-	}
-}
-
-// read is Reader.Read for the indexed fan-out path. Stats fold in
-// segment by segment as each is consumed, so they are complete once
-// io.EOF is returned.
-func (ir *idxReader) read(zr *Reader, p []byte) (int, error) {
-	for len(ir.cur) == 0 {
-		if ir.curBuf != nil {
-			ir.outPool.Put(ir.curBuf[:0])
-			ir.curBuf = nil
-		}
-		job, ok := <-ir.order
-		if !ok {
-			zr.err = io.EOF
-			return 0, zr.err
-		}
-		<-job.done
-		if job.err != nil {
-			zr.err = job.err
-			ir.release()
-			return 0, zr.err
-		}
-		zr.Stats.add(job.stats)
-		ir.cur, ir.curBuf = job.out, job.out
-	}
-	n := copy(p, ir.cur)
-	ir.cur = ir.cur[n:]
-	return n, nil
-}
-
-// release unblocks the feeder so the pool can exit early.
-func (ir *idxReader) release() {
-	//ziplint:allow noalloc one-time closure under sync.Once at stream teardown
-	ir.once.Do(func() { close(ir.stop) })
 }
 
 // ParallelWriter is the sharded writer type of the pre-options API.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -302,23 +303,39 @@ func TestParallelStreamCorruptionDetected(t *testing.T) {
 
 func TestParallelReaderCloseEarly(t *testing.T) {
 	data := sensorLike(t, 6*defaultSegmentBytes, 15)
-	comp, err := CompressBytesParallel(data, Config{}, 4)
+	sharded, err := CompressBytesParallel(data, Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := NewParallelReader(bytes.NewReader(comp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1000)
-	if _, err := pr.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pr.Read(buf); err == nil {
-		t.Fatal("read after close accepted")
+	for name, comp := range map[string][]byte{
+		"sharded": sharded,
+		"indexed": indexedStream(t, data, 0, nil), // 48 checkpoints dealt to 4 lanes
+	} {
+		before := runtime.NumGoroutine()
+		pr, err := NewReader(iotest.OneByteReader(bytes.NewReader(comp)), WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 1000)
+		if _, err := pr.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+		if pr.par == nil {
+			t.Fatalf("%s: stream did not start the lane engine", name)
+		}
+		if err := pr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.Read(buf); err == nil {
+			t.Fatalf("%s: read after close accepted", name)
+		}
+		// A mid-stream Close must release the pump and every lane.
+		for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Fatalf("%s: goroutines leaked: %d before, %d after Close", name, before, got)
+		}
 	}
 }
 

@@ -99,12 +99,13 @@ func (ix *streamIndex) appendFooter(dst []byte) []byte {
 	return append(dst, indexEndMagic...)
 }
 
-// parseIndexFooter validates footer (the exact footer bytes) against
-// the container's total size and returns the decoded index. Every
+// parseIndexFooter validates footer (the exact footer bytes), found at
+// container offset footerOff, and returns the decoded index. Every
 // structural invariant is checked up front — magics, CRC, length,
-// monotonic offsets, checkpoint bounds — so decode paths can trust
-// the offsets without re-validating.
-func parseIndexFooter(footer []byte, streamSize uint64) (*streamIndex, error) {
+// monotonic offsets, checkpoint bounds, and that the recorded trailer
+// group is the 16 bytes right before the footer — so decode paths can
+// trust the offsets without re-validating.
+func parseIndexFooter(footer []byte, footerOff uint64) (*streamIndex, error) {
 	n := len(footer)
 	if n < indexFixedLen+indexTailLen {
 		return nil, fmt.Errorf("%w: index footer of %d bytes", ErrCorrupt, n)
@@ -135,8 +136,8 @@ func parseIndexFooter(footer []byte, streamSize uint64) (*streamIndex, error) {
 	if want := indexFixedLen + 16*int(nGroups) + 4*int(nCks) + indexTailLen; want != n {
 		return nil, fmt.Errorf("%w: index footer is %d bytes, want %d for %d groups", ErrCorrupt, n, want, nGroups)
 	}
-	if ix.trailerOff > streamSize {
-		return nil, fmt.Errorf("%w: index trailer offset %d beyond stream of %d bytes", ErrCorrupt, ix.trailerOff, streamSize)
+	if ix.trailerOff+uint64(groupHeaderLen(streamV4)) != footerOff {
+		return nil, fmt.Errorf("%w: index trailer offset %d, but the footer starts at %d", ErrCorrupt, ix.trailerOff, footerOff)
 	}
 	off := indexFixedLen
 	ix.groups = make([]indexGroup, nGroups)
@@ -211,17 +212,17 @@ func readIndexFooter(rs io.ReadSeeker, origin int64) (*streamIndex, error) {
 	if _, err := io.ReadFull(rs, buf); err != nil {
 		return nil, fmt.Errorf("%w: index footer: %w", ErrCorrupt, truncErr(err))
 	}
-	return parseIndexFooter(buf, uint64(size))
+	return parseIndexFooter(buf, uint64(size-fl))
 }
 
 // consumeIndexFooter reads and validates the footer from a sequential
-// source positioned just past the trailer group — the streaming
-// reader's truncation check. A version-4 header promises a footer, so
-// a container cut anywhere after the trailer must fail here instead of
-// passing as a clean end of stream. The footer is front-parseable: the
-// entry counts precede the entries, so the total length is known after
-// the fixed prefix.
-func consumeIndexFooter(r io.Reader) (*streamIndex, error) {
+// source positioned just past the trailer group, footerOff bytes into
+// the container — the streaming reader's truncation check. A version-4
+// header promises a footer, so a container cut anywhere after the
+// trailer must fail here instead of passing as a clean end of stream.
+// The footer is front-parseable: the entry counts precede the entries,
+// so the total length is known after the fixed prefix.
+func consumeIndexFooter(r io.Reader, footerOff uint64) (*streamIndex, error) {
 	var fixed [indexFixedLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, fmt.Errorf("%w: index footer: %w", ErrCorrupt, truncErr(err))
@@ -251,9 +252,7 @@ func consumeIndexFooter(r io.Reader) (*streamIndex, error) {
 			return nil, fmt.Errorf("%w: index footer: %w", ErrCorrupt, truncErr(err))
 		}
 	}
-	// No seekable end to bound trailerOff against in streaming mode;
-	// the structural checks still apply.
-	return parseIndexFooter(buf, ^uint64(0))
+	return parseIndexFooter(buf, footerOff)
 }
 
 // checkpointAtOrBefore returns the group index and entry of the last
@@ -347,94 +346,36 @@ func (ix *writerIndex) record(compOff, uncompOff int64) byte {
 	return groupFlagCheckpoint
 }
 
-// decodeSegment replays one checkpoint segment: seg.nGroups groups
-// whose sequence numbers start at seg.firstGroup, read from r
-// (positioned at the segment's first group header). dec's dictionary
-// must hold only the frozen prefix. body is reusable scratch for
-// compressed group bodies; it is returned (possibly grown) for the
-// next call. out must carry no prior segment bytes — the final length
-// is checked against the segment's indexed extent.
-func decodeSegment(r io.Reader, dec *blockDecoder, version uint8, shards int, seg idxSegment, body, out []byte) ([]byte, []byte, error) {
-	seq := seg.firstGroup
-	var hdr [16]byte
-	for g := 0; g < seg.nGroups; g++ {
-		byteLen, bitWord, shard, gflags, err := readBlockHeader(r, version, &seq, &hdr)
-		if err != nil {
-			return out, body, err
-		}
-		if byteLen == 0 {
-			return out, body, fmt.Errorf("%w: early trailer inside indexed segment", ErrCorrupt)
-		}
-		if gflags&groupFlagCheckpoint != 0 {
-			dec.dict.Reset()
-		}
-		if cap(body) < int(byteLen) {
-			body = make([]byte, byteLen)
-		}
-		b := body[:byteLen]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return out, body, fmt.Errorf("%w: block body: %w", ErrCorrupt, truncErr(err))
-		}
-		tail, isTail, err := classifyGroup(bitWord, shard, shards, b)
-		if err != nil {
-			return out, body, err
-		}
-		if isTail {
-			dec.stats.TailBytes += uint64(len(tail))
-			out = append(out, tail...)
-			continue
-		}
-		if out, err = dec.decodeRecords(b, int(bitWord), out); err != nil {
-			return out, body, err
-		}
-	}
-	if want := seg.uncompEnd - seg.uncompStart; uint64(len(out)) != want {
-		return out, body, fmt.Errorf("%w: indexed segment decoded to %d bytes, want %d", ErrCorrupt, len(out), want)
-	}
-	return out, body, nil
-}
-
-// decodeSegmentBytes is decodeSegment over an in-memory segment: group
-// headers and bodies are sliced straight out of the compressed bytes
-// with no intermediate reader or body copy — the one-shot fan-out hot
-// path. Validation and error text mirror readBlockHeader and
-// classifyGroup, so the fan-out rejects corrupt containers with the
-// same diagnostics as a serial decode. Indexed streams are always
-// version ≥ 4, so every group carries the 16-byte header.
+// decodeSegmentBytes replays one checkpoint segment — seg.nGroups
+// groups whose sequence numbers start at seg.firstGroup — out of the
+// in-memory container: group headers and bodies are sliced straight out
+// of comp (the segment's exact compressed extent) with no intermediate
+// reader or body copy, the one-shot fan-out hot path. Framing goes
+// through parseGroupHeader and classifyGroup like every other path.
+// out must carry no prior segment bytes — the final length is checked
+// against the segment's indexed extent. Indexed streams are always
+// version 4, so every group carries the 16-byte header.
 func decodeSegmentBytes(comp []byte, dec *blockDecoder, shards int, seg idxSegment, out []byte) ([]byte, error) {
 	seq := seg.firstGroup
+	hdrLen := groupHeaderLen(streamV4)
 	for g := 0; g < seg.nGroups; g++ {
-		if len(comp) < 16 {
+		if len(comp) < hdrLen {
 			return out, fmt.Errorf("%w: block header: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
-		byteLen := binary.LittleEndian.Uint32(comp[0:])
-		bitWord := binary.LittleEndian.Uint32(comp[4:])
-		if byteLen == 0 {
+		h, err := parseGroupHeader(comp[:hdrLen], streamV4, &seq)
+		if err != nil {
+			return out, err
+		}
+		if h.byteLen == 0 {
 			return out, fmt.Errorf("%w: early trailer inside indexed segment", ErrCorrupt)
 		}
-		gseq := binary.LittleEndian.Uint32(comp[8:])
-		if gseq != seq {
-			return out, fmt.Errorf("%w: group %d out of order (want %d)", ErrCorrupt, gseq, seq)
-		}
-		seq++
-		shard := comp[12]
-		gflags := comp[13]
-		if gflags&^byte(groupFlagCheckpoint) != 0 {
-			return out, fmt.Errorf("%w: unknown group flags %#02x", ErrCorrupt, gflags)
-		}
-		if byteLen > maxBlockBytes {
-			return out, fmt.Errorf("%w: block of %d bytes", ErrCorrupt, byteLen)
-		}
-		if gflags&groupFlagCheckpoint != 0 {
-			dec.dict.Reset()
-		}
-		comp = comp[16:]
-		if uint64(len(comp)) < uint64(byteLen) {
+		comp = comp[hdrLen:]
+		if uint64(len(comp)) < uint64(h.byteLen) {
 			return out, fmt.Errorf("%w: block body: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
-		b := comp[:byteLen]
-		comp = comp[byteLen:]
-		tail, isTail, err := classifyGroup(bitWord, shard, shards, b)
+		b := comp[:h.byteLen]
+		comp = comp[h.byteLen:]
+		tail, isTail, err := classifyGroup(h, shards, b)
 		if err != nil {
 			return out, err
 		}
@@ -443,12 +384,12 @@ func decodeSegmentBytes(comp []byte, dec *blockDecoder, shards int, seg idxSegme
 			out = append(out, tail...)
 			continue
 		}
-		if out, err = dec.decodeRecords(b, int(bitWord), out); err != nil {
+		if out, err = dec.decodeGroup(h, b, out); err != nil {
 			return out, err
 		}
 	}
-	if want := seg.uncompEnd - seg.uncompStart; uint64(len(out)) != want {
-		return out, fmt.Errorf("%w: indexed segment decoded to %d bytes, want %d", ErrCorrupt, len(out), want)
+	if want := seg.uncompEnd - seg.uncompStart; uint64(len(out)) != want || len(comp) != 0 {
+		return out, fmt.Errorf("%w: indexed segment decoded to %d bytes with %d left over, want %d and 0", ErrCorrupt, len(out), len(comp), want)
 	}
 	return out, nil
 }
@@ -468,39 +409,36 @@ func (zr *Reader) decodeAllIndexed(src, dst []byte) (out []byte, ok bool, err er
 	if st == nil {
 		st = &idxDecState{}
 	}
+	defer zr.iPool.Put(st)
 	br := bytes.NewReader(src)
 	var phdr [16]byte
 	info, err := parseStreamHeader(br, st.codec, &phdr)
 	if err != nil || !info.hasIndex || info.shards != 1 {
-		zr.iPool.Put(st)
 		return dst, false, nil
-	}
-	if info.codec != st.codec {
-		// New or reconfigured codec: the pooled decoders carry stream
-		// dictionaries keyed to the old one.
-		st.codec = info.codec
-		clear(st.decs)
 	}
 	dict, err := validateStreamDict(info, zr.set.dict)
 	if err != nil {
-		zr.iPool.Put(st)
 		return dst, true, err
 	}
-	if dict != st.dict {
-		// A dict-framed stream after a plain one (or vice versa): the
-		// pooled stream dictionaries carry the wrong frozen prefix.
-		st.dict = dict
+	if info.codec != st.codec || dict != st.dict {
+		// A reconfigured codec, or a dict-framed stream after a plain
+		// one (or vice versa): the pooled decoders' stream dictionaries
+		// are keyed to the old codec or carry the wrong frozen prefix.
+		st.codec, st.dict = info.codec, dict
 		clear(st.decs)
 	}
-	ix, err := parseTrailingFooter(src)
+	ix, err := readIndexFooter(br, 0)
 	if err != nil {
-		zr.iPool.Put(st)
 		return dst, true, err
 	}
 	segs := ix.segments()
 	if len(segs) < 2 {
-		zr.iPool.Put(st)
 		return dst, false, nil
+	}
+	// Hold the index to the walk a serial Reader would take: groups
+	// start right after the header and end at a trailer group.
+	if ix.groups[0].compOff != uint64(info.size) || binary.LittleEndian.Uint32(src[ix.trailerOff:]) != 0 {
+		return dst, true, fmt.Errorf("%w: index does not match the container's framing", ErrCorrupt)
 	}
 	// Sanity-bound the up-front allocation: a record costs at least
 	// tag + deviation bits, so the recorded total cannot exceed what
@@ -508,7 +446,6 @@ func (zr *Reader) decodeAllIndexed(src, dst []byte) (out []byte, ok bool, err er
 	cs := uint64(info.codec.ChunkSize())
 	minRecordBits := uint64(info.codec.DeviationBits()) + 2
 	if maxOut := (ix.trailerOff*8/minRecordBits+1)*cs + ix.trailerOff; ix.uncompTotal > maxOut {
-		zr.iPool.Put(st)
 		return dst, true, fmt.Errorf("%w: index records implausible %d uncompressed bytes", ErrCorrupt, ix.uncompTotal)
 	}
 	base := len(dst)
@@ -520,10 +457,7 @@ func (zr *Reader) decodeAllIndexed(src, dst []byte) (out []byte, ok bool, err er
 		copy(out, dst)
 	}
 
-	workers := zr.set.workers
-	if workers > len(segs) {
-		workers = len(segs)
-	}
+	workers := min(zr.set.workers, len(segs))
 	for len(st.decs) < workers {
 		st.decs = append(st.decs, nil)
 	}
@@ -548,20 +482,13 @@ func (zr *Reader) decodeAllIndexed(src, dst []byte) (out []byte, ok bool, err er
 				seg := segs[i]
 				dec.dict.Reset()
 				region := out[base+int(seg.uncompStart) : base+int(seg.uncompStart) : base+int(seg.uncompEnd)]
-				res, err := decodeSegmentBytes(src[seg.compStart:seg.compEnd], dec, info.shards, seg, region[:0])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				// decodeSegmentBytes verified the length; a region
-				// overrun would have forced a reallocation and tripped
-				// it.
-				_ = res
+				// decodeSegmentBytes verifies the decoded length, and a
+				// region overrun forces a reallocation that trips it.
+				_, errs[i] = decodeSegmentBytes(src[seg.compStart:seg.compEnd], dec, info.shards, seg, region)
 			}
 		}()
 	}
 	wg.Wait()
-	zr.iPool.Put(st)
 	for _, err := range errs {
 		if err != nil {
 			return dst, true, err
@@ -579,20 +506,4 @@ type idxDecState struct {
 	codec *Codec
 	dict  *Dict
 	decs  []*blockDecoder
-}
-
-// parseTrailingFooter locates and validates the index footer at the
-// end of a complete in-memory container.
-func parseTrailingFooter(src []byte) (*streamIndex, error) {
-	if len(src) < indexFixedLen+indexTailLen {
-		return nil, fmt.Errorf("%w: no room for an index footer", ErrCorrupt)
-	}
-	if string(src[len(src)-4:]) != indexEndMagic {
-		return nil, fmt.Errorf("%w: missing index footer (container truncated after the trailer?)", ErrCorrupt)
-	}
-	fl := int(binary.LittleEndian.Uint32(src[len(src)-8:]))
-	if fl < indexFixedLen+indexTailLen || fl > len(src) {
-		return nil, fmt.Errorf("%w: index footer length %d", ErrCorrupt, fl)
-	}
-	return parseIndexFooter(src[len(src)-fl:], uint64(len(src)))
 }

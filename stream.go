@@ -1,7 +1,6 @@
 package zipline
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,69 +11,57 @@ import (
 	"zipline/internal/gd"
 )
 
-// Stream container format (see DESIGN.md):
+// Stream container format. A container is a header, a run of groups
+// and a trailer; the four versions differ only in how much framing the
+// writer's options made it spend (doc.go and the README's API section
+// give the wider picture).
 //
 //	header:  "ZLGD" | version u8 | m u8 | idBits u8 | t u8
-//	blocks:  u32le byteLen | u32le bitLen | payload
-//	trailer: a block with byteLen == 0
+//	  v2+:   u8 shards | u8 flags (0 before v3) | u8 reserved ×2
+//	  flagDict (v3+): u32le dictID | u32le dictBases
+//	group:   u32le byteLen | u32le bitLen | body
+//	  v2+:   … | u32le seq | u8 shard | u8 groupFlags (0 before v4) | u8 reserved ×2 | body
+//	trailer: a group header with byteLen == 0, all zero
+//	  flagIndex (v4): followed by the index footer (seekindex.go)
 //
-// Each block carries bit-packed records that never straddle blocks:
+// A group's body is bit-packed records that never straddle groups:
 //
 //	tag 0 (1 bit)  miss: deviation(m) | extra(1) | basis(k)
 //	tag 1 (1 bit)  hit:  deviation(m) | extra(1) | id(idBits)
 //
-// plus, only as the final record of the final data block,
-//
-//	tail marker: a miss/hit record cannot start with bitLen < 2, so a
-//	block whose first byte is 0xFF after records end encodes the tail:
-//	0xFF | u16le length | raw bytes.
+// or, when bitLen carries tailBlockFlag, the raw tail — the input bytes
+// that did not fill a last chunk: 0xFF | u16le length | bytes.
 //
 // Misses insert the basis into an LRU dictionary; the decoder applies
 // identical insertions and lookups, so identifier assignment evolves
 // in lockstep on both sides without any side channel — the streaming
-// analogue of the control-plane protocol.
+// analogue of the control-plane protocol. Everything else in the
+// framing says which dictionary timeline a group belongs to:
 //
-// Version 2 is the parallel (sharded) container written when a Writer
-// is configured with WithWorkers(n > 1). The 8-byte header above is
-// followed by
+//   - Version 1 (the default writer) has one timeline and spends 8
+//     bytes per group header.
+//   - Version 2 (WithWorkers(n > 1)) has one timeline per shard. seq
+//     counts groups from zero; shard names the dictionary the group's
+//     records were encoded against (segment seq goes to shard seq mod
+//     shards, and each shard's groups appear in that shard's encode
+//     order), so a decoder keeps one dictionary per shard.
+//   - Version 3 (WithDict) records the shared pre-trained dictionary
+//     (Dict.ID / Dict.Len) whose bases occupy identifiers
+//     [0, dictBases) of every shard. A reader that was not handed the
+//     same Dict rejects the stream with ErrDictRequired or
+//     ErrDictMismatch instead of misdecoding.
+//   - Version 4 (WithIndex, single shard) cuts its one timeline at
+//     checkpoints: groupFlagCheckpoint marks a group before which the
+//     encoder reset its dictionary to the frozen prefix. Every decoder
+//     replays the reset in-band; because a checkpoint group depends on
+//     nothing before it, Seek may start there cold and a parallel
+//     decoder may hand it to another lane (parallel.go). The footer
+//     after the trailer lists the groups and checkpoints; readers that
+//     stop at the trailer never see it.
 //
-//	u8 shards | u8 reserved ×3
-//
-// and blocks become 16-byte-headed groups, one per input segment:
-//
-//	u32le byteLen | u32le bitLen | u32le seq | u8 shard | u8 reserved ×3
-//
-// seq counts groups from zero; shard names the basis dictionary the
-// group's records were encoded against (the encoder assigns segment
-// seq to shard seq mod shards, and each shard's groups appear in the
-// stream in that shard's encode order). A decoder keeps one
-// dictionary per shard and replays each group against its recorded
-// shard, so identifier assignment stays in lockstep per shard whether
-// the groups are decoded serially or by per-shard workers. The tail
-// marker and the all-zero trailer group work as in version 1. Record
-// payloads are identical across versions.
-//
-// Version 3 is the dictionary-framed container written when a Writer
-// is configured with WithDict. It uses the version-2 group framing
-// (shards == 1 for a serial writer) but the second extension byte
-// carries flags, and flagDict appends
-//
-//	u32le dictID | u32le dictBases
-//
-// identifying the shared pre-trained dictionary (Dict.ID / Dict.Len)
-// whose bases occupy identifiers [0, dictBases) of every shard. A
-// reader that was not handed the same Dict rejects the stream with
-// ErrDictRequired or ErrDictMismatch instead of misdecoding.
-//
-// Version 4 is the seekable (indexed) container written under
-// WithIndex. It uses the version-3 framing (flags may still include
-// flagDict) plus flagIndex, and gives the fourteenth group-header byte
-// meaning as per-group flags: groupFlagCheckpoint marks a group before
-// which the encoder reset its basis dictionary to the frozen prefix,
-// so a streaming decoder replays the reset in-band while an indexed
-// decoder may start at the group cold. After the trailer group the
-// writer appends the trailing index footer (see seekindex.go); readers
-// that stop at the trailer never see it.
+// Record payloads are identical across versions. One emitter
+// (Writer.writeGroup) and one parser (parseGroupHeader, classifyGroup)
+// implement the group framing for every engine on either side.
 const (
 	streamMagic = "ZLGD"
 	streamV1    = 1 // serial container
@@ -129,7 +116,6 @@ func truncErr(err error) error {
 const (
 	defaultBlockBytes = 64 << 10
 	maxBlockBytes     = 1 << 24
-	maxTailBytes      = 0xFFFF
 
 	// maxPooledBlockLen caps the block-body scratch a Reader keeps
 	// across blocks and Resets; larger (corrupt-header) bodies get a
@@ -292,13 +278,6 @@ func parseTailBlock(body []byte) ([]byte, error) {
 	return body[3:], nil
 }
 
-// appendTailBlock encodes the tail body: 0xFF | u16le length | bytes.
-func appendTailBlock(dst, tail []byte) []byte {
-	dst = append(dst, 0xFF)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(tail)))
-	return append(dst, tail...)
-}
-
 // Writer compresses a byte stream with GD. One type serves every
 // operating mode, selected by Options at construction:
 //
@@ -323,14 +302,14 @@ type Writer struct {
 
 	// Serial engine (workers == 1).
 	enc       *blockEncoder
-	pending   []byte // partial input chunk
+	pending   []byte // partial input chunk; at Close, the raw tail of either engine
 	chunkSize int    // hoisted codec.ChunkSize()
 
 	// Sharded engine (workers > 1), started lazily on first dispatch.
 	par *parEngine
 
 	grouped bool   // 16-byte group framing (v2+)
-	seq     uint32 // next group sequence number (serial grouped path)
+	seq     uint32 // next group sequence number
 
 	// Trailing-index accumulation (WithIndex, serial only).
 	idx     *writerIndex
@@ -341,7 +320,7 @@ type Writer struct {
 	closed      bool
 	closeErr    error
 
-	scratch [24]byte // header/trailer assembly, keeps flushes alloc-free
+	scratch [24]byte // stream/group header assembly, keeps flushes alloc-free
 
 	ePool sync.Pool // pooled one-shot encoders for EncodeAll
 
@@ -386,7 +365,7 @@ func NewWriter(w io.Writer, opts ...Option) (*Writer, error) {
 			return nil, fmt.Errorf("zipline: WithIndex requires a serial writer — the index records one dictionary timeline, and decode-side parallelism comes from the index itself")
 		}
 		zw := &Writer{w: w, set: set, codec: codec, grouped: true}
-		zw.par = newParEngine(codec, set)
+		zw.par = newParEngine(zw)
 		return zw, nil
 	}
 	return newSerialWriter(w, set, codec), nil
@@ -597,19 +576,43 @@ func (zw *Writer) encodeChunk(chunk []byte) error {
 	return nil
 }
 
-// blockHeader assembles a block (v1) or group (v2+) header in the
-// writer's scratch, consuming a sequence number in grouped mode.
-// gflags fills the version-4 group-flags byte (zero elsewhere).
-func (zw *Writer) blockHeader(byteLen, bitWord uint32, gflags byte) []byte {
-	binary.LittleEndian.PutUint32(zw.scratch[0:], byteLen)
-	binary.LittleEndian.PutUint32(zw.scratch[4:], bitWord)
-	if !zw.grouped {
-		return zw.scratch[:8]
+// writeGroup emits one group: the 8-byte block (v1) or 16-byte group
+// (v2+) header, then body. It is the only place a group header is
+// assembled — record groups from the serial engine and from the sharded
+// collector, the raw tail and the all-zero trailer (an empty body) all
+// pass through it — and it numbers the groups, so sequence numbers
+// follow emission order by construction. A raw tail (tailBlockFlag set
+// in bitWord; shorter than a chunk, so its length fits the u16) is
+// framed here too: its 0xFF | u16le length prefix rides in the scratch
+// behind the header and the tail bytes are written from where they
+// lie, so Close allocates nothing.
+//
+//zipline:noalloc
+func (zw *Writer) writeGroup(body []byte, bitWord uint32, shard uint8, gflags byte) error {
+	hdr := zw.scratch[:8]
+	if zw.grouped {
+		hdr = zw.scratch[:16]
 	}
-	binary.LittleEndian.PutUint32(zw.scratch[8:], zw.seq)
-	zw.seq++
-	zw.scratch[12], zw.scratch[13], zw.scratch[14], zw.scratch[15] = 0, gflags, 0, 0
-	return zw.scratch[:16]
+	clear(hdr)
+	byteLen := len(body)
+	if bitWord&tailBlockFlag != 0 {
+		hdr = append(hdr, 0xFF, byte(len(body)), byte(len(body)>>8))
+		byteLen += 3
+		bitWord |= uint32(byteLen * 8)
+	}
+	if byteLen > 0 {
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(byteLen))
+		binary.LittleEndian.PutUint32(hdr[4:], bitWord)
+		if zw.grouped {
+			binary.LittleEndian.PutUint32(hdr[8:], zw.seq)
+			hdr[12], hdr[13] = shard, gflags
+			zw.seq++
+		}
+	}
+	if err := zw.writeOut(hdr); err != nil || len(body) == 0 {
+		return err
+	}
+	return zw.writeOut(body)
 }
 
 //zipline:noalloc
@@ -622,11 +625,7 @@ func (zw *Writer) flushBlock() error {
 	if zw.idx != nil {
 		gflags = zw.idx.record(zw.written, zw.idx.groupStart)
 	}
-	hdr := zw.blockHeader(uint32(len(block.Bytes())), uint32(block.Len()), gflags)
-	if err := zw.writeOut(hdr); err != nil {
-		return err
-	}
-	if err := zw.writeOut(block.Bytes()); err != nil {
+	if err := zw.writeGroup(block.Bytes(), uint32(block.Len()), 0, gflags); err != nil {
 		return err
 	}
 	block.Reset()
@@ -647,26 +646,29 @@ func (zw *Writer) Close() error {
 		return nil // EncodeAll-only writer, nothing buffered
 	}
 	if zw.par != nil {
-		zw.closeErr = zw.parClose()
-	} else {
-		zw.closeErr = zw.closeSerial()
+		zw.closeErr = zw.parDrain()
+	}
+	if zw.closeErr == nil {
+		zw.closeErr = zw.finish()
 	}
 	return zw.closeErr
 }
 
-func (zw *Writer) closeSerial() error {
+// finish ends the stream of either engine: the header if nothing has
+// forced it out yet (an empty stream), the serial engine's open block,
+// the raw tail group (zw.pending, the trailing bytes that did not fill
+// a chunk), the trailer and, under WithIndex, the footer.
+func (zw *Writer) finish() error {
 	if err := zw.writeHeader(); err != nil {
 		return err
 	}
-	if err := zw.flushBlock(); err != nil {
-		return err
-	}
-	// Tail block: raw trailing bytes that did not fill a chunk.
-	if len(zw.pending) > 0 {
-		if len(zw.pending) > maxTailBytes {
-			return fmt.Errorf("zipline: tail of %d bytes exceeds format limit", len(zw.pending))
+	if zw.enc != nil {
+		if err := zw.flushBlock(); err != nil {
+			return err
 		}
-		zw.Stats.TailBytes = uint64(len(zw.pending))
+	}
+	if tail := zw.pending; len(tail) > 0 {
+		zw.Stats.TailBytes = uint64(len(tail))
 		var gflags byte
 		if zw.idx != nil {
 			// The raw tail needs no dictionary state, so it is always
@@ -674,18 +676,13 @@ func (zw *Writer) closeSerial() error {
 			zw.idx.pending = true
 			gflags = zw.idx.record(zw.written, zw.uncomp)
 		}
-		body := appendTailBlock(make([]byte, 0, 3+len(zw.pending)), zw.pending)
-		hdr := zw.blockHeader(uint32(len(body)), uint32(len(body)*8)|tailBlockFlag, gflags)
-		if err := zw.writeOut(hdr); err != nil {
+		if err := zw.writeGroup(tail, tailBlockFlag, 0, gflags); err != nil {
 			return err
 		}
-		if err := zw.writeOut(body); err != nil {
-			return err
-		}
-		zw.uncomp += int64(len(zw.pending))
+		zw.uncomp += int64(len(tail))
 	}
 	trailerOff := zw.written
-	if err := zw.writeTrailer(); err != nil {
+	if err := zw.writeGroup(nil, 0, 0, 0); err != nil {
 		return err
 	}
 	if zw.idx == nil {
@@ -703,58 +700,42 @@ func (zw *Writer) closeSerial() error {
 	return zw.writeOut(ix.appendFooter(nil))
 }
 
-// writeTrailer emits the all-zero end-of-stream block/group.
-func (zw *Writer) writeTrailer() error {
-	n := 8
-	if zw.grouped {
-		n = 16
-	}
-	for i := 0; i < n; i++ {
-		zw.scratch[i] = 0
-	}
-	return zw.writeOut(zw.scratch[:n])
-}
-
 // Reader decompresses a stream produced by any Writer configuration —
 // it understands all four container versions, following the stream's
 // recorded shard count and dictionary identity. It implements
 // io.Reader. With WithWorkers(n > 1), sharded streams are decoded by
-// one worker per shard; Close then releases those workers without
-// draining the stream. Like Writer, a Reader can be pooled: Reset
-// points it at a new stream and, on the serial decode path, reuses
-// its shard decoders (dictionaries included) whenever the next header
-// matches the last; the parallel engine is rebuilt per stream.
-// Streaming methods must not be called concurrently; DecodeAll may be
-// called from any number of goroutines.
+// one lane per shard and single-shard indexed streams by n lanes that
+// take turns at the checkpoints, from any io.Reader; Close then
+// releases the lanes without draining the stream. Like Writer, a
+// Reader can be pooled: Reset points it at a new stream and, on the
+// serial decode path, reuses its shard decoders (dictionaries
+// included) whenever the next header matches the last; the parallel
+// engine is rebuilt per stream. Streaming methods must not be called
+// concurrently; DecodeAll may be called from any number of goroutines.
 type Reader struct {
 	r   io.Reader
 	set settings
 
 	codec      *Codec
-	version    uint8
-	shards     int
-	grouped    bool
-	streamDict *Dict // set.dict, when the stream records it
+	gr         groupReader // framing walk (serial decode path)
+	streamDict *Dict       // set.dict, when the stream records it
 
 	decs     []*blockDecoder // one per shard (serial decode path)
 	decCodec *Codec          // codec decs were built against (Reset reuse)
 	decDict  *Dict           // dict decs were built against (Reset reuse)
-	nextSeq  uint32
+	decoded  int64           // bytes the groups walked so far decoded to (serial decode path)
 
-	par *parReader // per-shard decode workers (workers > 1)
-	ixr *idxReader // index-segment decode workers (workers > 1, indexed stream)
+	par *parReader // decode lanes (workers > 1 on a sharded or indexed stream)
 
 	// Random-access state, live when the source is an io.ReadSeeker.
-	seeker   io.ReadSeeker
-	origin   int64 // underlying offset of the container's first byte
-	pos      int64 // uncompressed read position (Seek/ReadAt)
-	hasIndex bool  // header advertised flagIndex
-	idx      *streamIndex
+	seeker io.ReadSeeker
+	origin int64 // underlying offset of the container's first byte
+	pos    int64 // uncompressed read position (Seek/ReadAt)
+	idx    *streamIndex
 
-	out     []byte   // decoded bytes not yet read
-	outBuf  []byte   // recycled backing array for out (streaming Read path)
-	blkBuf  []byte   // recycled block-body scratch (serial decode path)
-	hdrBuf  [16]byte // header scratch (serial decode path)
+	out     []byte // decoded bytes not yet read
+	outBuf  []byte // recycled backing array for out (streaming Read path)
+	blkBuf  []byte // recycled block-body scratch (serial decode path)
 	done    bool
 	started bool
 	err     error // sticky: decode failure, io.EOF, or errReaderClosed
@@ -800,17 +781,12 @@ func (zr *Reader) Reset(r io.Reader) {
 		zr.par.release()
 		zr.par = nil
 	}
-	if zr.ixr != nil {
-		zr.ixr.release()
-		zr.ixr = nil
-	}
 	zr.r = r
-	zr.version, zr.shards = 0, 0
-	zr.grouped = false
+	zr.gr = groupReader{}
 	zr.streamDict = nil
-	zr.nextSeq = 0
+	zr.decoded = 0
 	zr.seeker, zr.origin, zr.pos = nil, 0, 0
-	zr.hasIndex, zr.idx = false, nil
+	zr.idx = nil
 	zr.out = nil
 	zr.done, zr.started = false, false
 	zr.err = nil
@@ -827,12 +803,12 @@ func (zr *Reader) start() error {
 	}
 	if sk, ok := zr.r.(io.ReadSeeker); ok {
 		// Remember where the container starts in a seekable source, so
-		// Seek and the indexed fan-out can address it absolutely.
+		// Seek can address it absolutely.
 		if off, err := sk.Seek(0, io.SeekCurrent); err == nil {
 			zr.seeker, zr.origin = sk, off
 		}
 	}
-	info, err := parseStreamHeader(zr.r, zr.codec, &zr.hdrBuf)
+	info, err := parseStreamHeader(zr.r, zr.codec, &zr.gr.hdr)
 	if err != nil {
 		return err
 	}
@@ -841,32 +817,15 @@ func (zr *Reader) start() error {
 		return err
 	}
 	zr.codec = info.codec
-	zr.version, zr.shards, zr.grouped = info.version, info.shards, info.grouped
 	zr.streamDict = dict
-	zr.hasIndex = info.hasIndex
-	if zr.set.workers > 1 && info.shards > 1 && info.grouped && info.version < streamV4 {
-		// Concurrent decode: the parReader workers own their decoders;
-		// the serial slice stays untouched for a later serial stream.
-		// Version-4 streams are excluded: our writer only indexes
-		// single-shard streams, and the shard workers do not replay
-		// checkpoint resets — a forged multi-shard v4 container must
-		// decode identically on every path, so it takes the serial one.
+	zr.gr = groupReader{r: zr.r, version: info.version, shards: info.shards, hasIndex: info.hasIndex, off: int64(info.size)}
+	if zr.set.workers > 1 && (info.shards > 1 || info.hasIndex) {
+		// Concurrent decode: a sharded stream gets one lane per shard, a
+		// single-shard indexed one a lane per worker. The lanes own their
+		// decoders; the serial slice stays untouched for a later serial
+		// stream.
 		zr.par = newParReader(zr)
 		return nil
-	}
-	if zr.set.workers > 1 && info.hasIndex && info.shards == 1 {
-		// Indexed fan-out: decode checkpoint segments concurrently. A
-		// non-seekable or single-segment source falls through to the
-		// serial path; a corrupt footer is an error — the index is the
-		// thing the caller's workers would trust.
-		ixr, err := newIdxReader(zr)
-		if err != nil {
-			return err
-		}
-		if ixr != nil {
-			zr.ixr = ixr
-			return nil
-		}
 	}
 	// Serial decode. Shard decoders are created lazily on first use;
 	// together with insert-proportional Dictionary sizing this keeps
@@ -893,11 +852,11 @@ type headerInfo struct {
 	version  uint8
 	codec    *Codec
 	shards   int
-	grouped  bool
 	hasDict  bool
 	hasIndex bool
 	dictID   uint32
 	dictLen  uint32
+	size     int // header bytes consumed: where the first group starts
 }
 
 // validateStreamDict cross-checks a dictionary-framed header against
@@ -926,7 +885,7 @@ func validateStreamDict(info headerInfo, d *Dict) (*Dict, error) {
 // same headers. prev, when non-nil and matching the header's
 // configuration, is reused instead of building a fresh codec — the
 // pooled-reader steady state skips the transform-table setup. scratch
-// is caller-owned header scratch (same hoisting as readBlockHeader).
+// is caller-owned header scratch (same hoisting as groupReader.hdr).
 func parseStreamHeader(r io.Reader, prev *Codec, scratch *[16]byte) (headerInfo, error) {
 	var info headerInfo
 	hdr := scratch[:8]
@@ -951,9 +910,9 @@ func parseStreamHeader(r io.Reader, prev *Codec, scratch *[16]byte) (headerInfo,
 		info.codec = codec
 	}
 	codec := info.codec
-	info.shards = 1
+	info.shards, info.size = 1, 8
 	if info.version >= streamV2 {
-		info.grouped = true
+		info.size += 4
 		ext := scratch[8:12]
 		if _, err := io.ReadFull(r, ext); err != nil {
 			return info, fmt.Errorf("%w: extended header: %w", ErrCorrupt, truncErr(err))
@@ -980,6 +939,7 @@ func parseStreamHeader(r io.Reader, prev *Codec, scratch *[16]byte) (headerInfo,
 					return info, fmt.Errorf("%w: dictionary frame: %w", ErrCorrupt, truncErr(err))
 				}
 				info.hasDict = true
+				info.size += 8
 				info.dictID = binary.LittleEndian.Uint32(df[0:])
 				info.dictLen = binary.LittleEndian.Uint32(df[4:])
 				if info.dictLen == 0 || info.dictLen >= 1<<codec.cfg.IDBits {
@@ -1003,11 +963,6 @@ func (zr *Reader) Read(p []byte) (int, error) {
 	}
 	if zr.par != nil {
 		n, err := zr.par.read(zr, p)
-		zr.pos += int64(n)
-		return n, err
-	}
-	if zr.ixr != nil {
-		n, err := zr.ixr.read(zr, p)
 		zr.pos += int64(n)
 		return n, err
 	}
@@ -1049,14 +1004,19 @@ func (zr *Reader) Seek(offset int64, whence int) (int64, error) {
 		zr.err = err
 		return 0, err
 	}
-	if zr.par != nil || zr.ixr != nil {
+	if zr.par != nil {
 		return 0, fmt.Errorf("zipline: Seek requires the serial decode path (WithWorkers(1))")
 	}
 	if zr.seeker == nil {
 		return 0, fmt.Errorf("zipline: Seek requires an io.ReadSeeker source")
 	}
-	if !zr.hasIndex {
+	if !zr.gr.hasIndex {
 		return 0, ErrNoIndex
+	}
+	if zr.gr.shards != 1 {
+		// The index records one dictionary timeline; a forged sharded
+		// stream has no state to jump into.
+		return 0, fmt.Errorf("%w: index on a %d-shard stream", ErrCorrupt, zr.gr.shards)
 	}
 	if zr.idx == nil {
 		ix, err := readIndexFooter(zr.seeker, zr.origin)
@@ -1101,7 +1061,9 @@ func (zr *Reader) seekTo(target uint64) error {
 	if _, err := zr.seeker.Seek(zr.origin+off, io.SeekStart); err != nil {
 		return err
 	}
-	zr.nextSeq = seq
+	// The framing walk resumes at the jumped-to group, so the trailer's
+	// footer check still compares against what this walk passes.
+	zr.gr.seq, zr.gr.off, zr.decoded = seq, off, int64(pos)
 	zr.done = false
 	zr.out = nil
 	if len(zr.decs) > 0 && zr.decs[0] != nil {
@@ -1157,9 +1119,6 @@ func (zr *Reader) Close() error {
 	if zr.par != nil {
 		zr.par.release()
 	}
-	if zr.ixr != nil {
-		zr.ixr.release()
-	}
 	if zr.err == nil {
 		zr.err = errReaderClosed
 	}
@@ -1167,21 +1126,13 @@ func (zr *Reader) Close() error {
 }
 
 func (zr *Reader) readBlock() error {
-	byteLen, bitWord, shard, gflags, err := readBlockHeader(zr.r, zr.version, &zr.nextSeq, &zr.hdrBuf)
+	h, err := zr.gr.header()
 	if err != nil {
 		return err
 	}
-	if byteLen == 0 {
-		if zr.hasIndex {
-			// The header promised a trailing index: consume and verify
-			// it, so a container cut after the trailer can never read
-			// as a clean end of stream.
-			if _, err := consumeIndexFooter(zr.r); err != nil {
-				return err
-			}
-		}
+	if h.byteLen == 0 {
 		zr.done = true
-		return nil
+		return zr.gr.trailer(zr.decoded)
 	}
 	// Block bodies are transient — every downstream consumer copies
 	// what it keeps (parseTailBlock's slice is appended to out,
@@ -1191,37 +1142,29 @@ func (zr *Reader) readBlock() error {
 	// size) use a throwaway allocation instead, so a pooled Reader
 	// never pins a huge buffer.
 	var body []byte
-	if byteLen <= maxPooledBlockLen {
-		if cap(zr.blkBuf) < int(byteLen) {
-			zr.blkBuf = make([]byte, byteLen)
+	if h.byteLen <= maxPooledBlockLen {
+		if cap(zr.blkBuf) < int(h.byteLen) {
+			zr.blkBuf = make([]byte, h.byteLen)
 		}
-		body = zr.blkBuf[:byteLen]
+		body = zr.blkBuf[:h.byteLen]
 	} else {
-		body = make([]byte, byteLen)
+		body = make([]byte, h.byteLen)
 	}
-	if _, err := io.ReadFull(zr.r, body); err != nil {
-		return fmt.Errorf("%w: block body: %w", ErrCorrupt, truncErr(err))
-	}
-	tail, isTail, err := classifyGroup(bitWord, shard, len(zr.decs), body)
+	tail, isTail, err := zr.gr.body(h, body)
 	if err != nil {
 		return err
 	}
-	if gflags&groupFlagCheckpoint != 0 {
-		// The encoder reset its dictionary to the frozen prefix before
-		// this group; replay the reset to stay in lockstep.
-		if !isTail && zr.decs[shard] != nil {
-			zr.decs[shard].dict.Reset()
-		}
-	}
+	before := len(zr.out)
 	if isTail {
 		zr.out = append(zr.out, tail...)
 		zr.Stats.TailBytes += uint64(len(tail))
-		return nil
+	} else {
+		if zr.decs[h.shard] == nil {
+			zr.decs[h.shard] = newBlockDecoder(zr.codec, &zr.Stats, zr.streamDict)
+		}
+		zr.out, err = zr.decs[h.shard].decodeGroup(h, body, zr.out)
 	}
-	if zr.decs[shard] == nil {
-		zr.decs[shard] = newBlockDecoder(zr.codec, &zr.Stats, zr.streamDict)
-	}
-	zr.out, err = zr.decs[shard].decodeRecords(body, int(bitWord), zr.out)
+	zr.decoded += int64(len(zr.out) - before)
 	return err
 }
 
@@ -1244,82 +1187,150 @@ func (zr *Reader) decodeAllInto(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
+// groupHeader is one parsed block (v1) or group (v2+) header.
+type groupHeader struct {
+	byteLen uint32 // body length; 0 marks the trailer
+	bitWord uint32 // record bit length, or tailBlockFlag | bit length
+	shard   uint8  // dictionary the records were encoded against (v2+)
+	flags   byte   // groupFlagCheckpoint (v4)
+}
+
+// groupHeaderLen is the header size of the given container version.
+func groupHeaderLen(version uint8) int {
+	if version >= streamV2 {
+		return 16
+	}
+	return 8
+}
+
+// parseGroupHeader validates one group header (exactly
+// groupHeaderLen(version) bytes) against the expected sequence number,
+// which it advances. It is the only parser of group headers: the serial
+// Reader, the lane pump and the in-memory fan-out all come through
+// here, so they accept the same streams with the same error text.
+func parseGroupHeader(hdr []byte, version uint8, nextSeq *uint32) (groupHeader, error) {
+	h := groupHeader{
+		byteLen: binary.LittleEndian.Uint32(hdr[0:]),
+		bitWord: binary.LittleEndian.Uint32(hdr[4:]),
+	}
+	if h.byteLen == 0 {
+		return groupHeader{}, nil
+	}
+	if version >= streamV2 {
+		if seq := binary.LittleEndian.Uint32(hdr[8:]); seq != *nextSeq {
+			return h, fmt.Errorf("%w: group %d out of order (want %d)", ErrCorrupt, seq, *nextSeq)
+		}
+		*nextSeq++
+		h.shard = hdr[12]
+		if version >= streamV4 {
+			h.flags = hdr[13]
+			if h.flags&^byte(groupFlagCheckpoint) != 0 {
+				return h, fmt.Errorf("%w: unknown group flags %#02x", ErrCorrupt, h.flags)
+			}
+		}
+	}
+	if h.byteLen > maxBlockBytes {
+		return h, fmt.Errorf("%w: block of %d bytes", ErrCorrupt, h.byteLen)
+	}
+	return h, nil
+}
+
 // classifyGroup applies the shared accept rules for a group body in
 // any container version: tail groups are validated and their bytes
 // returned (aliasing body); record groups get their shard and bit
-// length bounds checked. Keeping one validator means the serial and
-// parallel decoders accept exactly the same streams.
-func classifyGroup(bitWord uint32, shard uint8, shards int, body []byte) (tail []byte, isTail bool, err error) {
-	if bitWord&tailBlockFlag != 0 {
+// length bounds checked.
+func classifyGroup(h groupHeader, shards int, body []byte) (tail []byte, isTail bool, err error) {
+	if h.bitWord&tailBlockFlag != 0 {
 		t, err := parseTailBlock(body)
 		return t, true, err
 	}
-	if int(shard) >= shards {
-		return nil, false, fmt.Errorf("%w: shard %d of %d", ErrCorrupt, shard, shards)
+	if int(h.shard) >= shards {
+		return nil, false, fmt.Errorf("%w: shard %d of %d", ErrCorrupt, h.shard, shards)
 	}
-	if int(bitWord) > len(body)*8 {
+	if int(h.bitWord) > len(body)*8 {
 		return nil, false, fmt.Errorf("%w: bit length exceeds block", ErrCorrupt)
 	}
 	return nil, false, nil
 }
 
-// readBlockHeader reads and validates one block (v1) or group (v2+)
-// header for the given container version, returning the payload
-// length, the bit-length word, the shard and — in version 4 — the
-// group flags. nextSeq tracks the expected sequence number of grouped
-// containers. A header cut short surfaces as ErrCorrupt wrapping
-// io.ErrUnexpectedEOF, never as a clean end of stream. hdr is
-// caller-owned scratch, hoisted out so reading through the io.Reader
-// interface does not force a heap allocation per block.
-func readBlockHeader(r io.Reader, version uint8, nextSeq *uint32, hdr *[16]byte) (byteLen, bitWord uint32, shard uint8, gflags byte, err error) {
-	n := 8
-	if version >= streamV2 {
-		n = 16
+// decodeGroup replays one record group against d: a checkpoint group
+// first resets the dictionary to the frozen prefix, as the encoder did
+// before it. Every decode path funnels record groups through here, so
+// checkpoints are replayed identically whichever path runs.
+func (d *blockDecoder) decodeGroup(h groupHeader, body, out []byte) ([]byte, error) {
+	if h.flags&groupFlagCheckpoint != 0 {
+		d.dict.Reset()
 	}
-	if _, err := io.ReadFull(r, hdr[:n]); err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("%w: block header: %w", ErrCorrupt, truncErr(err))
+	return d.decodeRecords(body, int(h.bitWord), out)
+}
+
+// groupReader walks a container's groups in stream order from any
+// io.Reader — the framing layer under the serial Reader and under the
+// lane pump. It counts what it passes (groups and container bytes), so
+// an indexed stream's footer can be checked against the walk itself.
+type groupReader struct {
+	r        io.Reader
+	version  uint8
+	shards   int
+	hasIndex bool
+	seq      uint32   // groups passed == next expected sequence number
+	off      int64    // container bytes consumed, stream header included
+	hdr      [16]byte // header scratch: no allocation per group
+}
+
+// header reads the next group header; byteLen == 0 is the trailer. A
+// header cut short surfaces as ErrCorrupt wrapping
+// io.ErrUnexpectedEOF, never as a clean end of stream.
+func (g *groupReader) header() (groupHeader, error) {
+	hdr := g.hdr[:groupHeaderLen(g.version)]
+	n, err := io.ReadFull(g.r, hdr)
+	g.off += int64(n)
+	if err != nil {
+		return groupHeader{}, fmt.Errorf("%w: block header: %w", ErrCorrupt, truncErr(err))
 	}
-	byteLen = binary.LittleEndian.Uint32(hdr[0:])
-	bitWord = binary.LittleEndian.Uint32(hdr[4:])
-	if version >= streamV2 {
-		if byteLen == 0 {
-			return 0, 0, 0, 0, nil
-		}
-		seq := binary.LittleEndian.Uint32(hdr[8:])
-		if seq != *nextSeq {
-			return 0, 0, 0, 0, fmt.Errorf("%w: group %d out of order (want %d)", ErrCorrupt, seq, *nextSeq)
-		}
-		*nextSeq++
-		shard = hdr[12]
-		if version >= streamV4 {
-			gflags = hdr[13]
-			if gflags&^byte(groupFlagCheckpoint) != 0 {
-				return 0, 0, 0, 0, fmt.Errorf("%w: unknown group flags %#02x", ErrCorrupt, gflags)
-			}
-		}
+	return parseGroupHeader(hdr, g.version, &g.seq)
+}
+
+// body reads h's body into buf (len(buf) == h.byteLen) and classifies
+// it; a tail's bytes alias buf.
+func (g *groupReader) body(h groupHeader, buf []byte) (tail []byte, isTail bool, err error) {
+	n, err := io.ReadFull(g.r, buf)
+	g.off += int64(n)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: block body: %w", ErrCorrupt, truncErr(err))
 	}
-	if byteLen > maxBlockBytes {
-		return 0, 0, 0, 0, fmt.Errorf("%w: block of %d bytes", ErrCorrupt, byteLen)
+	return classifyGroup(h, g.shards, buf)
+}
+
+// trailer ends the walk after the all-zero group. An indexed header
+// promised a footer: consume and verify it — so a container cut after
+// the trailer can never read as a clean end of stream — and hold it to
+// what was actually read: the trailer's position, the number of groups
+// passed, and decoded, the bytes the caller decoded them to.
+func (g *groupReader) trailer(decoded int64) error {
+	if !g.hasIndex {
+		return nil
 	}
-	return byteLen, bitWord, shard, gflags, nil
+	ix, err := consumeIndexFooter(g.r, uint64(g.off))
+	if err != nil {
+		return err
+	}
+	if len(ix.groups) != int(g.seq) || ix.uncompTotal != uint64(decoded) {
+		return fmt.Errorf("%w: index records %d groups and %d bytes, stream held %d and %d",
+			ErrCorrupt, len(ix.groups), ix.uncompTotal, g.seq, decoded)
+	}
+	return nil
 }
 
 // CompressBytes compresses data in one call through the serial path.
 // For repeated one-shot encodes, a pooled (*Writer).EncodeAll avoids
 // the per-call setup.
 func CompressBytes(data []byte, cfg Config) ([]byte, error) {
-	var buf appendWriter
-	zw, err := NewWriter(&buf, cfg)
+	zw, err := NewWriter(nil, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := zw.Write(data); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
+	return zw.EncodeAll(data, nil), nil
 }
 
 // DecompressBytes decompresses a stream produced by any Writer
@@ -1327,22 +1338,11 @@ func CompressBytes(data []byte, cfg Config) ([]byte, error) {
 // (*Reader).DecodeAll avoids the per-call setup. Dictionary-framed
 // streams need a Reader carrying the Dict (WithDict) instead.
 func DecompressBytes(data []byte) ([]byte, error) {
-	zr, err := NewReader(bytes.NewReader(data))
+	zr, err := NewReader(nil)
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := zr.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	return zr.DecodeAll(data, nil)
 }
 
 type appendWriter struct{ b []byte }

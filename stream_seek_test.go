@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -32,6 +33,15 @@ func indexedStream(t testing.TB, data []byte, every int, dict *Dict) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// resealFooter recomputes the CRC of the index footer starting at
+// footerStart after a test has edited its fields, so only a semantic
+// check can catch the edit.
+func resealFooter(b []byte, footerStart int) []byte {
+	crcOff := len(b) - indexTailLen
+	binary.LittleEndian.PutUint32(b[crcOff:], crc32.ChecksumIEEE(b[footerStart:crcOff]))
+	return b
 }
 
 func TestIndexedRoundTripSerial(t *testing.T) {
@@ -86,7 +96,7 @@ func TestWithIndexRejectsParallelWriter(t *testing.T) {
 func TestIndexedFooterLayout(t *testing.T) {
 	data := sensorLike(t, 64<<10, 3)
 	comp := indexedStream(t, data, 0, nil)
-	ix, err := parseTrailingFooter(comp)
+	ix, err := readIndexFooter(bytes.NewReader(comp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +353,15 @@ func TestIndexedFooterCorruption(t *testing.T) {
 			return b[:len(b)-4]
 		},
 		"checkpoint-past-eof": func(b []byte) []byte {
-			// Point the trailer offset beyond the container, re-CRC so
-			// only the semantic check can catch it.
+			// Point the trailer offset beyond the container.
 			binary.LittleEndian.PutUint64(b[footerStart+28:], uint64(len(b))+1000)
-			crcOff := len(b) - indexTailLen
-			binary.LittleEndian.PutUint32(b[crcOff:], crc32.ChecksumIEEE(b[footerStart:crcOff]))
-			return b
+			return resealFooter(b, footerStart)
+		},
+		"size-off-by-one": func(b []byte) []byte {
+			// A structurally valid footer that lies about the decoded
+			// size: only comparing it with what was read catches it.
+			binary.LittleEndian.PutUint64(b[footerStart+20:], uint64(len(data))+1)
+			return resealFooter(b, footerStart)
 		},
 	}
 	for name, fn := range mutate {
@@ -360,12 +373,65 @@ func TestIndexedFooterCorruption(t *testing.T) {
 		if _, err := zr.DecodeAll(bad, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeAll err = %v, want ErrCorrupt", name, err)
 		}
-		sr, err := NewReader(bytes.NewReader(bad), WithWorkers(4))
-		if err != nil {
-			t.Fatal(err)
+		// Streaming: the serial walk and the lane pump both end at the
+		// footer, seekable source or not.
+		for _, workers := range []int{1, 4} {
+			for sname, src := range map[string]io.Reader{
+				"bytes.Reader": bytes.NewReader(bad),
+				"non-seekable": iotest.OneByteReader(bytes.NewReader(bad)),
+			} {
+				sr, err := NewReader(src, WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadAll(sr); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: streaming workers=%d over %s: err = %v, want ErrCorrupt", name, workers, sname, err)
+				}
+				sr.Close()
+			}
 		}
-		if _, err := io.ReadAll(sr); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: streaming err = %v, want ErrCorrupt", name, err)
+	}
+}
+
+// TestIndexedLanesFromPipe pins the lane rule itself: a single-shard
+// indexed stream read from a source that can neither Seek nor ReadAt is
+// decoded on several lanes, to the serial Reader's bytes and Stats.
+func TestIndexedLanesFromPipe(t *testing.T) {
+	data := sensorLike(t, 96<<10+9, 31)
+	comp := indexedStream(t, data, 0, nil)
+	ser := mustReader(t, bytes.NewReader(comp))
+	want, err := io.ReadAll(ser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := iotest.OneByteReader(bytes.NewReader(comp))
+	if _, ok := src.(io.Seeker); ok {
+		t.Fatal("test source is seekable")
+	}
+	if _, ok := src.(io.ReaderAt); ok {
+		t.Fatal("test source is an io.ReaderAt")
+	}
+	zr, err := NewReader(src, WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || !bytes.Equal(got, data) {
+		t.Fatal("lane decode diverges from serial decode")
+	}
+	if zr.Stats != ser.Stats {
+		t.Fatalf("stats diverge: serial %+v lanes %+v", ser.Stats, zr.Stats)
+	}
+	if zr.par == nil || len(zr.par.laneStats) != 3 {
+		t.Fatalf("expected the 3-lane engine, got %+v", zr.par)
+	}
+	// Seven checkpoints dealt round-robin: every lane decoded records.
+	for lane, st := range zr.par.laneStats {
+		if st.Chunks == 0 {
+			t.Errorf("lane %d decoded nothing: %+v", lane, zr.par.laneStats)
 		}
 	}
 }
@@ -583,9 +649,10 @@ func TestIndexedWriterReset(t *testing.T) {
 
 // FuzzDecodeIndexed drives arbitrary bytes — seeded with real indexed
 // containers and targeted footer mutations — through every indexed
-// decode surface. Whatever the input: no panics, the fan-out paths
-// never accept what serial decoding rejects, and on shared accepts all
-// outputs are byte-identical.
+// decode surface. Whatever the input: no panics, streaming on lanes
+// from a non-seekable source agrees exactly with serial streaming, the
+// fan-out paths never accept what serial decoding rejects, and on
+// shared accepts all outputs are byte-identical.
 func FuzzDecodeIndexed(f *testing.F) {
 	// Seeds stay small (16 KiB of plaintext): the fuzz engine minimizes
 	// every coverage-expanding mutation for up to a minute, and that
@@ -631,13 +698,18 @@ func FuzzDecodeIndexed(f *testing.F) {
 		fs := len(bad) - fl
 		if fs > 0 {
 			binary.LittleEndian.PutUint64(bad[fs+28:], uint64(len(bad)+999))
-			crcOff := len(bad) - indexTailLen
-			binary.LittleEndian.PutUint32(bad[crcOff:], crc32.ChecksumIEEE(bad[fs:crcOff]))
-			f.Add(bad)
+			f.Add(resealFooter(bad, fs))
 		}
 	}
 
+	for _, seed := range laneSeeds(f) {
+		f.Add(seed.comp)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Streaming is one engine under two schedules: exact agreement.
+		differentialLanes(t, data)
+
 		serial, serialErr := DecompressBytes(data)
 
 		zr, err := NewReader(nil, WithWorkers(4))
