@@ -1,36 +1,22 @@
 // Command zipline-bench regenerates every table and figure of the
 // ZipLine paper's evaluation (§7) on the simulated testbed and prints
 // them in the paper's layout, alongside the paper's published values
-// for comparison.
+// for comparison, followed by the ablation studies.
 //
 // Usage:
 //
-//	zipline-bench [-run all|table1|table2|fig3|fig4|fig5|learning|ablations|perf] [-quick] [-seed N] [-json PATH]
-//	zipline-bench -compare old.json new.json [-tolerance 0.15]
+//	zipline-bench [-run all|table1|table2|fig3|fig4|fig5|learning|ablations] [-quick] [-seed N]
 //
 // -quick scales the datasets and windows down (≈30× faster) for smoke
-// runs; the full run uses the paper-scale parameters recorded in
-// EXPERIMENTS.md.
+// runs; the full run uses the paper-scale parameters (each experiment
+// config's defaults). Every table is a function of -seed, so two runs
+// print the same bytes apart from the closing "completed in" line;
+// testdata/quick-seed1.golden pins the -quick -seed 1 output.
 //
-// -compare diffs two perf artifacts (the committed BENCH_*.json
-// baseline against a fresh bench-perf.json) and exits non-zero when
-// any measured path's throughput fell more than -tolerance (default
-// 0.15) below the baseline — the CI perf-regression gate. A baseline
-// entry missing from the fresh run also fails; to retire or re-anchor
-// a path, update the committed baseline in the same PR.
-//
-// The perf experiment measures the software dataplane itself — chunk
-// codec MB/s, CRC throughput, per-role switch pkts/s through the
-// zero-allocation ProcessAppend path, the scenario engine's events/s,
-// the reusable encoder API (EncodeAll/DecodeAll and the pooled
-// Reset+re-encode cycle against a shared pre-trained dictionary), and
-// the ziphttp deployment surfaces (HTTP gateway encode and round
-// trip, TCP proxy streaming) — the repo's performance trajectory.
-// -json writes every collected measurement (perf rows plus Figure 3
-// compression ratios) as machine-readable JSON; BENCH_PR10.json in the
-// repo root is the committed baseline:
-//
-//	zipline-bench -run perf -json BENCH_PR10.json
+// The command measures the simulated network, not this software's
+// speed: throughput of the codec, the switch dataplane, the simulator
+// and the ziphttp gateway is measured by the repo benchmark,
+// `go run ./bench` (see bench/README.md).
 package main
 
 import (
@@ -57,35 +43,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zipline-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	which := fs.String("run", "all", "experiment to run: all, table1, table2, fig3, fig4, fig5, learning, ablations, perf")
+	which := fs.String("run", "all", "experiment to run: all, table1, table2, fig3, fig4, fig5, learning, ablations")
 	quick := fs.Bool("quick", false, "scaled-down datasets and windows")
 	seed := fs.Int64("seed", 1, "base seed for synthetic data and simulation jitter")
-	jsonPath := fs.String("json", "", "write collected measurements (perf, compression ratios) as JSON to this path")
-	comparePath := fs.String("compare", "", "baseline perf JSON; the fresh JSON follows as a positional argument")
-	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional throughput drop in -compare mode")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *comparePath != "" {
-		// `-compare old.json new.json -tolerance 0.2`: the fresh path
-		// is positional, so re-parse whatever follows it for trailing
-		// flags.
-		rest := fs.Args()
-		if len(rest) == 0 || strings.HasPrefix(rest[0], "-") {
-			fmt.Fprintln(stderr, "zipline-bench: -compare needs the fresh perf JSON as a positional argument")
-			return 2
-		}
-		if err := fs.Parse(rest[1:]); err != nil {
-			return 2
-		}
-		return runCompare(*comparePath, rest[0], *tolerance, stdout, stderr)
 	}
 
 	want := func(name string) bool { return *which == "all" || *which == name }
 	start := time.Now()
 	ran := 0
-	rep := &experiments.BenchArtifact{Seed: *seed, Quick: *quick}
 
 	steps := []struct {
 		name string
@@ -93,12 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{"table1", func() error { return runTable1(stdout) }},
 		{"table2", func() error { return runTable2(stdout) }},
-		{"fig3", func() error { return runFig3(stdout, *quick, *seed, rep) }},
+		{"fig3", func() error { return runFig3(stdout, *quick, *seed) }},
 		{"fig4", func() error { return runFig4(stdout, *quick, *seed) }},
 		{"fig5", func() error { return runFig5(stdout, *quick, *seed) }},
 		{"learning", func() error { return runLearning(stdout, *quick, *seed) }},
 		{"ablations", func() error { return runAblations(stdout, *quick, *seed) }},
-		{"perf", func() error { return runPerf(stdout, *quick, *seed, rep) }},
 	}
 	for _, step := range steps {
 		if !want(step.name) {
@@ -115,78 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *jsonPath != "" {
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintf(stderr, "zipline-bench: writing %s: %v\n", *jsonPath, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nmeasurements written to %s\n", *jsonPath)
-	}
 	fmt.Fprintf(stdout, "\ncompleted in %s\n", time.Since(start).Round(time.Millisecond))
 	return 0
-}
-
-// runCompare is the perf-regression gate: diff a fresh perf artifact
-// against the committed baseline and fail on throughput regressions
-// past the tolerance.
-func runCompare(oldPath, newPath string, tolerance float64, stdout, stderr io.Writer) int {
-	oldArt, err := experiments.LoadBenchArtifact(oldPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "zipline-bench: baseline: %v\n", err)
-		return 2
-	}
-	newArt, err := experiments.LoadBenchArtifact(newPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "zipline-bench: fresh run: %v\n", err)
-		return 2
-	}
-	deltas, regressed := experiments.ComparePerf(oldArt.Perf, newArt.Perf, tolerance)
-	fmt.Fprintf(stdout, "perf gate: %s vs %s (tolerance %.0f%%)\n", oldPath, newPath, tolerance*100)
-	fmt.Fprintf(stdout, "%-20s %-14s %14s %14s %9s\n", "path", "metric", "baseline", "fresh", "change")
-	for _, d := range deltas {
-		verdict := ""
-		if d.Missing {
-			verdict = "  MISSING FROM FRESH RUN"
-			fmt.Fprintf(stdout, "%-20s %-14s %14.0f %14s %9s%s\n", d.Name, d.Metric, d.Old, "-", "-", verdict)
-			continue
-		}
-		if d.Regressed {
-			verdict = "  REGRESSION"
-		}
-		fmt.Fprintf(stdout, "%-20s %-14s %14.0f %14.0f %+8.1f%%%s\n",
-			d.Name, d.Metric, d.Old, d.New, d.Change*100, verdict)
-	}
-	if regressed {
-		fmt.Fprintf(stdout, "\nPERF REGRESSION: at least one path dropped >%.0f%% below %s\n", tolerance*100, oldPath)
-		fmt.Fprintln(stdout, "(intended? regenerate the baseline with `zipline-bench -run perf -json` and commit it)")
-		return 1
-	}
-	fmt.Fprintf(stdout, "\nall paths within %.0f%% of the baseline\n", tolerance*100)
-	return 0
-}
-
-// runPerf measures the software dataplane and prints the rows the
-// tentpole optimised; the same rows land in the -json artifact.
-func runPerf(w io.Writer, quick bool, seed int64, rep *experiments.BenchArtifact) error {
-	header(w, "Perf: software dataplane (zero-allocation hot paths)")
-	rows, err := experiments.PerfSuite(seed, quick)
-	if err != nil {
-		return err
-	}
-	rep.Perf = append(rep.Perf, rows...)
-	fmt.Fprintf(w, "%-20s %12s %12s %14s %14s %10s\n",
-		"path", "ns/op", "MB/s", "pkts/s", "events/s", "allocs/op")
-	for _, r := range rows {
-		num := func(v float64) string {
-			if v == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.0f", v)
-		}
-		fmt.Fprintf(w, "%-20s %12.1f %12s %14s %14s %10.2f\n",
-			r.Name, r.NsPerOp, num(r.MBPerS), num(r.PktsPerS), num(r.EventsPerS), r.AllocsPerOp)
-	}
-	return nil
 }
 
 func header(w io.Writer, title string) {
@@ -237,7 +133,7 @@ var paperFig3 = map[string]map[string]string{
 	},
 }
 
-func runFig3(w io.Writer, quick bool, seed int64, rep *experiments.BenchArtifact) error {
+func runFig3(w io.Writer, quick bool, seed int64) error {
 	header(w, "Figure 3: Resulting payload size after processing (ZipLine vs gzip)")
 	sensorCfg := trace.SensorConfig{Seed: seed}
 	snap, glitch, err := fig3SensorNoise()
@@ -281,9 +177,6 @@ func runFig3(w io.Writer, quick bool, seed int64, rep *experiments.BenchArtifact
 				fmt.Fprintf(w, "  %-18s %12s %-8s %-8s %s\n", c.Name, "n/a", "n/a", paper, c.Detail)
 				continue
 			}
-			rep.CompressionRatios = append(rep.CompressionRatios, experiments.RatioEntry{
-				Dataset: ds.tr.Name, Case: c.Name, Ratio: c.Ratio,
-			})
 			fmt.Fprintf(w, "  %-18s %12.1f %-8.2f %-8s %s\n",
 				c.Name, float64(c.Bytes)/1e6, c.Ratio, paper, c.Detail)
 		}
@@ -296,7 +189,7 @@ func runFig3(w io.Writer, quick bool, seed int64, rep *experiments.BenchArtifact
 // corruption on 60 % of records. GD absorbs the corruption in the
 // syndrome (same basis, same 3 B output); gzip pays for it — which is
 // what places both tools at the paper's operating point
-// (see EXPERIMENTS.md, workload construction).
+// (trace.SensorConfig documents SnapCodec and GlitchProb).
 func fig3SensorNoise() (*gd.Codec, float64, error) {
 	tr, err := gd.NewHammingM(8)
 	if err != nil {

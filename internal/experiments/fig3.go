@@ -6,7 +6,6 @@ import (
 	"zipline/internal/baseline"
 	"zipline/internal/packet"
 	"zipline/internal/scenario"
-	"zipline/internal/tofino"
 	"zipline/internal/trace"
 	"zipline/internal/zswitch"
 )
@@ -100,69 +99,55 @@ func Figure3(ds *trace.Trace, cfg Figure3Config) (Figure3Result, error) {
 	return res, nil
 }
 
-// fig3Pipeline builds an encode-only pipeline for offline (timing-
-// free) replay.
-func fig3Pipeline(cfg Figure3Config) (*zswitch.Program, *tofino.Pipeline, error) {
-	prog, err := zswitch.New(zswitch.Config{
-		IDBits:  cfg.IDBits,
-		Roles:   map[tofino.Port]zswitch.Role{0: zswitch.RoleEncode},
-		PortMap: map[tofino.Port]tofino.Port{0: 1},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, err := tofino.Load(tofino.Config{}, prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, pl, nil
+// fig3Spec is the fixture with an encoding switch and the sender
+// replaying at the configured rate.
+func fig3Spec(cfg Figure3Config) scenario.Spec {
+	spec := fixture("fig3", cfg.Seed, scenario.RoleEncode, cfg.ReplayPPS)
+	spec.Codec.IDBits = cfg.IDBits
+	return spec
 }
 
-// replayOffline pushes every record through the pipeline without a
-// clock (learning timing plays no role) and sums emitted payload
-// bytes.
-func replayOffline(ds *trace.Trace, pl *tofino.Pipeline) (payloadBytes int64, byType [4]uint64, err error) {
-	hdr := packet.Header{Dst: macB, Src: macA, EtherType: packet.EtherTypeRaw}
-	frame := make([]byte, 0, packet.HeaderLen+ds.RecordSize)
-	for i := 0; i < ds.Records(); i++ {
-		frame = packet.AppendHeader(frame[:0], hdr)
-		frame = append(frame, ds.Record(i)...)
-		emits := pl.Process(int64(i), frame, 0)
-		if len(emits) != 1 {
-			return 0, byType, fmt.Errorf("record %d: %d emissions", i, len(emits))
+// fig3Replay streams the dataset through the built fixture record by
+// record and returns the bar (what the sink received) with the run's
+// report for the caller's Detail line; the sink is r.Hosts[1].
+func fig3Replay(sc *scenario.Scenario, ds *trace.Trace, name string) (Figure3Case, scenario.Report, error) {
+	records := ds.Records()
+	hdr := packet.Header{Dst: sc.MAC("sink"), Src: sc.MAC("sender"), EtherType: packet.EtherTypeRaw}
+	sc.Host("sender").Stream(0, 0, func(i uint64) []byte {
+		if i >= uint64(records) {
+			return nil
 		}
-		h, payload, perr := packet.ParseHeader(emits[0].Frame)
-		if perr != nil {
-			return 0, byType, perr
-		}
-		payloadBytes += int64(len(payload))
-		byType[h.Type()]++
-		if pl.PendingDigests() > 4096 {
-			pl.DrainDigests()
-		}
+		rec := ds.Record(int(i))
+		sc.CountOffered(1, uint64(len(rec)))
+		return packet.Frame(hdr, rec)
+	})
+	r := sc.Run()
+
+	sink := r.Hosts[1]
+	if sink.RxFrames != uint64(records) {
+		return Figure3Case{}, r, fmt.Errorf("received %d of %d frames", sink.RxFrames, records)
 	}
-	pl.DrainDigests()
-	return payloadBytes, byType, nil
+	return Figure3Case{
+		Name:  name,
+		Bytes: int64(sink.PayloadBytes),
+		Ratio: float64(sink.PayloadBytes) / float64(ds.TotalBytes()),
+	}, r, nil
 }
 
 // fig3NoTable: the compression table stays empty; every packet
 // becomes type 2. Measures pure transformation overhead (the paper's
 // 1.03 padding cost).
 func fig3NoTable(ds *trace.Trace, cfg Figure3Config) (Figure3Case, error) {
-	_, pl, err := fig3Pipeline(cfg)
+	sc, err := buildFixed(fig3Spec(cfg))
 	if err != nil {
 		return Figure3Case{}, err
 	}
-	bytes, byType, err := replayOffline(ds, pl)
+	c, r, err := fig3Replay(sc, ds, "No table")
 	if err != nil {
-		return Figure3Case{}, err
+		return c, err
 	}
-	return Figure3Case{
-		Name:   "No table",
-		Bytes:  bytes,
-		Ratio:  float64(bytes) / float64(ds.TotalBytes()),
-		Detail: fmt.Sprintf("type2=%d", byType[packet.TypeUncompressed]),
-	}, nil
+	c.Detail = fmt.Sprintf("type2=%d", r.Hosts[1].Type2Frames)
+	return c, nil
 }
 
 // fig3Static: "we pre-compute the basis of each payload and add a
@@ -173,12 +158,12 @@ func fig3Static(ds *trace.Trace, cfg Figure3Config) (Figure3Case, error) {
 	if cfg.SkipStatic {
 		return Figure3Case{Name: "Static table", NA: true, Detail: "not applicable (paper: n/a)"}, nil
 	}
-	prog, pl, err := fig3Pipeline(cfg)
+	sc, err := buildFixed(fig3Spec(cfg))
 	if err != nil {
 		return Figure3Case{}, err
 	}
 	// Preload every basis.
-	codec := prog.Codec()
+	codec := switchCodec(sc)
 	seen := make(map[string]bool)
 	nextID := uint32(0)
 	capacity := uint32(1) << uint(cfg.IDBits)
@@ -198,68 +183,32 @@ func fig3Static(ds *trace.Trace, cfg Figure3Config) (Figure3Case, error) {
 				Detail: fmt.Sprintf("working set %d exceeds %d identifiers", len(seen), capacity),
 			}, nil
 		}
-		if err := zswitch.InstallBasisToID(pl, s.Basis, nextID, 0); err != nil {
+		if err := zswitch.InstallBasisToID(sc.Pipeline("sw"), s.Basis, nextID, 0); err != nil {
 			return Figure3Case{}, err
 		}
 		nextID++
 	}
-	bytes, byType, err := replayOffline(ds, pl)
+	c, r, err := fig3Replay(sc, ds, "Static table")
 	if err != nil {
-		return Figure3Case{}, err
+		return c, err
 	}
-	return Figure3Case{
-		Name:   "Static table",
-		Bytes:  bytes,
-		Ratio:  float64(bytes) / float64(ds.TotalBytes()),
-		Detail: fmt.Sprintf("bases=%d type3=%d", nextID, byType[packet.TypeCompressed]),
-	}, nil
+	c.Detail = fmt.Sprintf("bases=%d type3=%d", nextID, r.Hosts[1].Type3Frames)
+	return c, nil
 }
 
 // fig3Dynamic: the full system with an empty table filled by the
 // control plane as unknown bases stream past — learning latency and
-// first-packet costs included. Runs on the scenario engine: one
-// unified encode switch, the dataset replayed record by record.
+// first-packet costs included.
 func fig3Dynamic(ds *trace.Trace, cfg Figure3Config) (Figure3Case, error) {
-	sc, err := scenario.Build(scenario.Spec{
-		Name:  "fig3-dynamic",
-		Seed:  cfg.Seed,
-		Codec: scenario.CodecSpec{IDBits: cfg.IDBits},
-		Hosts: []scenario.HostSpec{
-			{Name: "sender", MaxPPS: cfg.ReplayPPS},
-			{Name: "sink"},
-		},
-		Switches: []scenario.SwitchSpec{
-			{Name: "sw", Ports: []scenario.PortSpec{{Port: 0, Role: scenario.RoleEncode, Out: 1}}},
-		},
-		Links: []scenario.LinkSpec{
-			{A: "sender", B: "sw:0"},
-			{A: "sw:1", B: "sink"},
-		},
-	})
+	sc, err := scenario.Build(fig3Spec(cfg))
 	if err != nil {
 		return Figure3Case{}, err
 	}
-	records := ds.Records()
-	hdr := packet.Header{Dst: sc.MAC("sink"), Src: sc.MAC("sender"), EtherType: packet.EtherTypeRaw}
-	sc.Host("sender").Stream(0, 0, func(i uint64) []byte {
-		if i >= uint64(records) {
-			return nil
-		}
-		rec := ds.Record(int(i))
-		sc.CountOffered(1, uint64(len(rec)))
-		return packet.Frame(hdr, rec)
-	})
-	r := sc.Run()
-
-	sink := r.Hosts[1]
-	if sink.RxFrames != uint64(records) {
-		return Figure3Case{}, fmt.Errorf("received %d of %d frames", sink.RxFrames, records)
+	c, r, err := fig3Replay(sc, ds, "Dynamic learning")
+	if err != nil {
+		return c, err
 	}
-	return Figure3Case{
-		Name:  "Dynamic learning",
-		Bytes: int64(sink.PayloadBytes),
-		Ratio: float64(sink.PayloadBytes) / float64(ds.TotalBytes()),
-		Detail: fmt.Sprintf("type2=%d type3=%d learned=%d",
-			sink.Type2Frames, sink.Type3Frames, r.Learning.Learned),
-	}, nil
+	c.Detail = fmt.Sprintf("type2=%d type3=%d learned=%d",
+		r.Hosts[1].Type2Frames, r.Hosts[1].Type3Frames, r.Learning.Learned)
+	return c, nil
 }

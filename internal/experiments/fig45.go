@@ -3,11 +3,48 @@ package experiments
 import (
 	"fmt"
 
-	"zipline/internal/gd"
 	"zipline/internal/netsim"
 	"zipline/internal/packet"
+	"zipline/internal/scenario"
 	"zipline/internal/stats"
 )
+
+// Op selects what the switch does in the raw-performance experiments
+// (paper Figure 4/5: "no op", "encode", "decode").
+type Op int
+
+// The three measured operations.
+const (
+	OpNoOp Op = iota
+	OpEncode
+	OpDecode
+)
+
+// String implements fmt.Stringer.
+func (o Op) String() string {
+	switch o {
+	case OpNoOp:
+		return "No op"
+	case OpEncode:
+		return "Encode"
+	case OpDecode:
+		return "Decode"
+	default:
+		return fmt.Sprintf("op(%d)", int(o))
+	}
+}
+
+// role is the scenario port role that performs the operation.
+func (o Op) role() string {
+	switch o {
+	case OpEncode:
+		return scenario.RoleEncode
+	case OpDecode:
+		return scenario.RoleDecode
+	default:
+		return scenario.RoleForward
+	}
+}
 
 // Figure4Cell is one bar of paper Figure 4: throughput for one
 // (operation, frame size) pair, across repeats.
@@ -85,22 +122,18 @@ func Figure4(cfg Figure4Config) ([]Figure4Cell, error) {
 }
 
 func fig4Run(cfg Figure4Config, op Op, frameSize int, seed int64) (gbps, mpps float64, err error) {
-	tb, err := NewTestbed(TestbedConfig{
-		Seed:  seed,
-		Op:    op,
-		HostA: netsim.HostConfig{MaxPPS: cfg.GeneratorPPS},
-	})
+	sc, err := buildFixed(fixture("fig4", seed, op.role(), cfg.GeneratorPPS))
 	if err != nil {
 		return 0, 0, err
 	}
-	frame, err := testFrame(tb.Prog.Codec(), op, frameSize)
+	frame, err := testFrame(sc, op, frameSize)
 	if err != nil {
 		return 0, 0, err
 	}
-	tb.A.Stream(0, cfg.WindowNs, func(i uint64) []byte { return frame })
-	tb.Sim.Run()
+	sc.Host("sender").Stream(0, cfg.WindowNs, func(i uint64) []byte { return frame })
+	sc.Sim.Run()
 
-	rx := tb.B.Rx()
+	rx := sc.Host("sink").Rx()
 	if rx.Frames == 0 {
 		return 0, 0, fmt.Errorf("no traffic received")
 	}
@@ -118,13 +151,15 @@ func fig4Run(cfg Figure4Config, op Op, frameSize int, seed int64) (gbps, mpps fl
 // testFrame builds the frame the generator repeats: raw traffic for
 // no-op and encode, a ZipLine type 2 frame for decode (decodable
 // without dictionary state).
-func testFrame(codec *gd.Codec, op Op, frameSize int) ([]byte, error) {
+func testFrame(sc *scenario.Scenario, op Op, frameSize int) ([]byte, error) {
+	hdr := packet.Header{Dst: sc.MAC("sink"), Src: sc.MAC("sender"), EtherType: packet.EtherTypeRaw}
 	payloadLen := frameSize - packet.HeaderLen
 	if payloadLen < 0 {
 		return nil, fmt.Errorf("frame size %d below header", frameSize)
 	}
 	switch op {
 	case OpDecode:
+		codec := switchCodec(sc)
 		f := packet.MustFormat(codec, 15, true)
 		if payloadLen < f.Type2Len() {
 			return nil, fmt.Errorf("frame size %d cannot carry a type 2 payload", frameSize)
@@ -138,9 +173,8 @@ func testFrame(codec *gd.Codec, op Op, frameSize int) ([]byte, error) {
 			return nil, err
 		}
 		buf := make([]byte, 0, frameSize)
-		out := packet.AppendHeader(buf, packet.Header{
-			Dst: macB, Src: macA, EtherType: packet.EtherTypeUncompressed,
-		})
+		hdr.EtherType = packet.EtherTypeUncompressed
+		out := packet.AppendHeader(buf, hdr)
 		out = f.AppendType2(out, s)
 		for len(out) < frameSize {
 			out = append(out, 0x5A)
@@ -151,7 +185,7 @@ func testFrame(codec *gd.Codec, op Op, frameSize int) ([]byte, error) {
 		for i := range payload {
 			payload[i] = byte(i*29 + 3)
 		}
-		return RawFrame(payload), nil
+		return packet.Frame(hdr, payload), nil
 	}
 }
 
@@ -196,37 +230,41 @@ func (c Figure5Config) withDefaults() Figure5Config {
 	return c
 }
 
-// Figure5 measures the RTT of the paper's self-loop setup: host A
-// sends to itself through the switch, which applies each operation.
+// Figure5 measures the RTT of the paper's self-loop setup ("one server
+// sending packets to itself via the programmable switch"), the switch
+// applying each operation.
 func Figure5(cfg Figure5Config) ([]Figure5Cell, error) {
 	cfg = cfg.withDefaults()
 	var out []Figure5Cell
 	for _, op := range cfg.Ops {
-		tb, err := NewTestbed(TestbedConfig{Seed: cfg.Seed, Op: op, Loopback: true})
+		spec := fixture("fig5", cfg.Seed, op.role(), 0)
+		spec.Switches[0].Ports[0].Out = 0 // back to the sender
+		sc, err := buildFixed(spec)
 		if err != nil {
 			return nil, err
 		}
-		frame, err := testFrame(tb.Prog.Codec(), op, cfg.FrameSize)
+		frame, err := testFrame(sc, op, cfg.FrameSize)
 		if err != nil {
 			return nil, err
 		}
+		sender := sc.Host("sender")
 		cell := Figure5Cell{Op: op, RTTMicros: stats.New()}
 		// Self-clocking probes: each reply triggers the next send
 		// after a quiet gap, so exactly one probe is in flight.
 		var sentAt netsim.Time
 		var probe func()
 		probe = func() {
-			sentAt = tb.Sim.Now()
-			tb.A.Send(frame)
+			sentAt = sc.Sim.Now()
+			sender.Send(frame)
 		}
-		tb.A.OnReceive = func(f []byte, at netsim.Time) {
+		sender.OnReceive = func(f []byte, at netsim.Time) {
 			cell.RTTMicros.Add(float64(at-sentAt) / 1e3)
 			if cell.RTTMicros.N() < cfg.Probes {
-				tb.Sim.After(cfg.GapNs, probe)
+				sc.Sim.After(cfg.GapNs, probe)
 			}
 		}
-		tb.Sim.At(0, probe)
-		tb.Sim.Run()
+		sc.Sim.At(0, probe)
+		sc.Sim.Run()
 		if cell.RTTMicros.N() != cfg.Probes {
 			return nil, fmt.Errorf("%v: %d of %d probes returned", op, cell.RTTMicros.N(), cfg.Probes)
 		}

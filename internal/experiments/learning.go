@@ -55,28 +55,15 @@ func Learning(cfg LearningConfig) (LearningResult, error) {
 	res := LearningResult{DelayMs: stats.New()}
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		seed := cfg.Seed + int64(rep)*7919
-		sc, err := scenario.Build(scenario.Spec{
-			Name: "learning",
-			Seed: seed,
-			Hosts: []scenario.HostSpec{
-				{Name: "sender", MaxPPS: cfg.GeneratorPPS},
-				{Name: "sink"},
-			},
-			Switches: []scenario.SwitchSpec{
-				{Name: "sw", Ports: []scenario.PortSpec{{Port: 0, Role: scenario.RoleEncode, Out: 1}}},
-			},
-			Links: []scenario.LinkSpec{
-				{A: "sender", B: "sw:0"},
-				{A: "sw:1", B: "sink"},
-			},
-			Traffic: []scenario.TrafficSpec{{
-				From: "sender", To: "sink",
-				Workload: scenario.WorkloadRepeat,
-				Records:  1 << 30, // the window, not the count, ends the flow
-				StopNs:   int64(cfg.WindowNs),
-				Seed:     seed,
-			}},
-		})
+		spec := fixture("learning", seed, scenario.RoleEncode, cfg.GeneratorPPS)
+		spec.Traffic = []scenario.TrafficSpec{{
+			From: "sender", To: "sink",
+			Workload: scenario.WorkloadRepeat,
+			Records:  1 << 30, // the window, not the count, ends the flow
+			StopNs:   int64(cfg.WindowNs),
+			Seed:     seed,
+		}}
+		sc, err := scenario.Build(spec)
 		if err != nil {
 			return res, err
 		}

@@ -27,7 +27,8 @@ type Spec struct {
 	// value disagrees with the printed polynomial (and is not
 	// primitive, so it cannot realise a Hamming code); Param holds
 	// the value derived from the polynomial, PaperParam what the
-	// paper printed. See EXPERIMENTS.md.
+	// paper printed; `zipline-bench -run table1` prints both and
+	// flags the two rows.
 	PaperParam uint32
 	// Alternate marks the second listed polynomial for code sizes
 	// with two rows; ByM selects the non-alternate row.

@@ -151,19 +151,6 @@ func (p *Pipeline) ProcessAppend(now int64, frame []byte, ingress Port, out []Em
 	return out
 }
 
-// Process runs one packet and returns durable emissions: every frame
-// is cloned out of program scratch, so the result stays valid
-// indefinitely. Hot paths use ProcessAppend with a reused scratch
-// slice instead.
-func (p *Pipeline) Process(now int64, frame []byte, ingress Port) []Emit {
-	//ziplint:allow emitbuf Process is the documented one-shot cloning wrapper; hot paths use ProcessAppend with reused scratch
-	out := p.ProcessAppend(now, frame, ingress, nil)
-	for i := range out {
-		out[i].Frame = append([]byte(nil), out[i].Frame...)
-	}
-	return out
-}
-
 // Table exposes a table to the control plane by name.
 func (p *Pipeline) Table(name string) (*Table, bool) {
 	i, ok := p.tableIdx[name]

@@ -64,7 +64,7 @@ func TestPipelineBasicFlow(t *testing.T) {
 	p := load(t, prog)
 
 	frame := []byte{1, 2, 3, 4, 5, 6}
-	out := p.Process(100, frame, 3)
+	out := p.ProcessAppend(100, frame, 3, nil)
 	if len(out) != 1 || out[0].Port != 2 {
 		t.Fatalf("emit = %+v", out)
 	}
@@ -83,7 +83,7 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if err := tbl.Install(string(frame[:4]), uint16(7), 150); err != nil {
 		t.Fatal(err)
 	}
-	p.Process(200, frame, 3)
+	p.ProcessAppend(200, frame, 3, nil)
 	if p.Counter("hits") != 1 {
 		t.Fatalf("counters = %v", p.Counters())
 	}
@@ -101,7 +101,7 @@ func TestDigestDataIsCopied(t *testing.T) {
 	prog := &echoProg{}
 	p := load(t, prog)
 	frame := []byte{9, 9, 9, 9}
-	p.Process(0, frame, 0)
+	p.ProcessAppend(0, frame, 0, nil)
 	frame[0] = 1 // mutate after emission
 	d := p.DrainDigests()
 	if d[0].Data[0] != 9 {
@@ -208,7 +208,7 @@ func TestDoubleApplyPanics(t *testing.T) {
 			t.Fatalf("recover = %v", r)
 		}
 	}()
-	p.Process(0, []byte{1, 2, 3, 4}, 0)
+	p.ProcessAppend(0, []byte{1, 2, 3, 4}, 0, nil)
 }
 
 func TestInvalidEmitPortPanics(t *testing.T) {
@@ -218,7 +218,7 @@ func TestInvalidEmitPortPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.Process(0, []byte{1}, 0)
+	p.ProcessAppend(0, []byte{1}, 0, nil)
 }
 
 type badPortProg struct{}
@@ -264,7 +264,7 @@ func TestRegisterStatePersists(t *testing.T) {
 	prog := &echoProg{}
 	p := load(t, prog)
 	for i := 0; i < 5; i++ {
-		p.Process(int64(i), []byte{0, 0, 0, 0}, 0)
+		p.ProcessAppend(int64(i), []byte{0, 0, 0, 0}, 0, nil)
 	}
 	// Register cell 0 should have counted the packets.
 	ctx := Ctx{p: p, now: 99}
@@ -282,7 +282,7 @@ func TestPipelineAccessors(t *testing.T) {
 	if p.SRAMBits() <= 0 {
 		t.Fatal("SRAM accounting missing")
 	}
-	p.Process(0, []byte{1, 2, 3, 4}, 0)
+	p.ProcessAppend(0, []byte{1, 2, 3, 4}, 0, nil)
 	all := p.Counters()
 	if all["misses"] != 1 {
 		t.Fatalf("Counters() = %v", all)

@@ -119,7 +119,7 @@ func testRawFrame(prog *Program, seed int64) []byte {
 // durable copy of the single emitted frame.
 func clonedEmit(t *testing.T, pl *tofino.Pipeline, frame []byte) []byte {
 	t.Helper()
-	emits := pl.Process(0, frame, 0)
+	emits := ProcessCloned(pl, 0, frame, 0)
 	if len(emits) != 1 {
 		t.Fatalf("%d emissions, want 1", len(emits))
 	}

@@ -49,7 +49,7 @@ func BenchmarkSwitchEncode(b *testing.B) {
 	prog, pl := benchPipeline(b, RoleEncode)
 	frame := benchRawFrame(prog, 1)
 	// Warm the dictionary so the hot loop is pure type-3.
-	emits := pl.Process(0, frame, 0)
+	emits := ProcessCloned(pl, 0, frame, 0)
 	if len(emits) != 1 {
 		b.Fatal("warmup emit count")
 	}
@@ -92,7 +92,7 @@ func BenchmarkSwitchDecode(b *testing.B) {
 	if err := InstallBasisToID(encPl, s.Basis, 7, 0); err != nil {
 		b.Fatal(err)
 	}
-	emits := encPl.Process(0, raw, 0)
+	emits := ProcessCloned(encPl, 0, raw, 0)
 	if len(emits) != 1 {
 		b.Fatal("encode emit count")
 	}

@@ -292,11 +292,11 @@ func TestDifferentialDataplane(t *testing.T) {
 
 				// Through the encoder, then everything emitted through
 				// the decoder; compare at both hops.
-				gotEnc := enc.Process(now, frame, 0)
+				gotEnc := ProcessCloned(enc, now, frame, 0)
 				wantEnc := ref.encode(now, frame)
 				compareEmits(t, step, "encode", gotEnc, wantEnc)
 				for i, e := range gotEnc {
-					gotDec := dec.Process(now, e.Frame, 0)
+					gotDec := ProcessCloned(dec, now, e.Frame, 0)
 					wantDec := ref.decode(wantEnc[i])
 					compareEmits(t, step, "decode", gotDec, wantDec)
 				}

@@ -26,5 +26,5 @@
 // the hardware pipeline touches no allocator at line rate. The
 // consequence, as on hardware, is that emitted frames are valid only
 // until the next packet enters the same program; callers that keep a
-// frame longer must copy it (tofino.Pipeline.Process does).
+// frame longer must copy it (netsim.Switch copies into a frame arena).
 package zswitch

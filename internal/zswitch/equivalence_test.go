@@ -22,7 +22,7 @@ import (
 // the single emitted frame.
 func processOne(t *testing.T, pl *tofino.Pipeline, frame []byte) []byte {
 	t.Helper()
-	emits := pl.Process(0, frame, 0)
+	emits := ProcessCloned(pl, 0, frame, 0)
 	if len(emits) != 1 {
 		t.Fatalf("%d emissions, want 1", len(emits))
 	}

@@ -46,6 +46,18 @@ func loadPair(t *testing.T, cfg Config) (encProg, decProg *Program, enc, dec *to
 	return
 }
 
+// ProcessCloned runs one frame through pl and returns durable
+// emissions: every frame is cloned out of the program scratch that the
+// next ProcessAppend call on pl overwrites. Exported so the external
+// zswitch_test package shares it.
+func ProcessCloned(pl *tofino.Pipeline, now int64, frame []byte, ingress tofino.Port) []tofino.Emit {
+	out := pl.ProcessAppend(now, frame, ingress, nil)
+	for i := range out {
+		out[i].Frame = append([]byte(nil), out[i].Frame...)
+	}
+	return out
+}
+
 func rawFrame(payload []byte) []byte {
 	return packet.Frame(packet.Header{
 		Dst: testMACs.b, Src: testMACs.a, EtherType: packet.EtherTypeRaw,
@@ -58,7 +70,7 @@ func TestEncodeUnknownBasisProducesType2(t *testing.T) {
 	rand.New(rand.NewSource(1)).Read(payload)
 	frame := rawFrame(payload)
 
-	out := enc.Process(0, frame, 0)
+	out := ProcessCloned(enc, 0, frame, 0)
 	if len(out) != 1 || out[0].Port != 1 {
 		t.Fatalf("emit = %+v", out)
 	}
@@ -81,7 +93,7 @@ func TestEncodeUnknownBasisProducesType2(t *testing.T) {
 	}
 
 	// The type 2 packet decodes without any dictionary state.
-	back := dec.Process(10, out[0].Frame, 0)
+	back := ProcessCloned(dec, 10, out[0].Frame, 0)
 	if len(back) != 1 {
 		t.Fatalf("decode emit = %+v", back)
 	}
@@ -113,7 +125,7 @@ func TestEncodeKnownBasisProducesType3(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := enc.Process(0, frame, 0)
+	out := ProcessCloned(enc, 0, frame, 0)
 	hdr, encPayload, _ := packet.ParseHeader(out[0].Frame)
 	if hdr.Type() != packet.TypeCompressed {
 		t.Fatalf("type = %v, want type 3", hdr.Type())
@@ -125,7 +137,7 @@ func TestEncodeKnownBasisProducesType3(t *testing.T) {
 		t.Fatalf("stats = %+v", ReadStats(enc))
 	}
 
-	back := dec.Process(1, out[0].Frame, 0)
+	back := ProcessCloned(dec, 1, out[0].Frame, 0)
 	_, gotPayload, _ := packet.ParseHeader(back[0].Frame)
 	if !bytes.Equal(gotPayload, payload) {
 		t.Fatalf("round trip failed: %x != %x", gotPayload, payload)
@@ -141,8 +153,8 @@ func TestEncodePreservesTail(t *testing.T) {
 	_, _, enc, dec := loadPair(t, Config{})
 	payload := make([]byte, 50)
 	rand.New(rand.NewSource(3)).Read(payload)
-	out := enc.Process(0, rawFrame(payload), 0)
-	back := dec.Process(1, out[0].Frame, 0)
+	out := ProcessCloned(enc, 0, rawFrame(payload), 0)
+	back := ProcessCloned(dec, 1, out[0].Frame, 0)
 	_, gotPayload, _ := packet.ParseHeader(back[0].Frame)
 	if !bytes.Equal(gotPayload, payload) {
 		t.Fatal("tail lost in translation")
@@ -153,7 +165,7 @@ func TestShortPayloadForwarded(t *testing.T) {
 	_, _, enc, _ := loadPair(t, Config{})
 	payload := []byte{1, 2, 3}
 	frame := rawFrame(payload)
-	out := enc.Process(0, frame, 0)
+	out := ProcessCloned(enc, 0, frame, 0)
 	if !bytes.Equal(out[0].Frame, frame) {
 		t.Fatal("short frame modified")
 	}
@@ -170,7 +182,7 @@ func TestDecodeMissDropsAndCounts(t *testing.T) {
 		Dst: testMACs.b, Src: testMACs.a, EtherType: packet.EtherTypeCompressed,
 	})
 	out = f.AppendType3(out, packet.Compressed{Deviation: 5, Extra: 0, ID: 77})
-	emits := dec.Process(0, out, 0)
+	emits := ProcessCloned(dec, 0, out, 0)
 	if len(emits) != 0 {
 		t.Fatalf("unmapped type 3 was emitted: %+v", emits)
 	}
@@ -194,7 +206,7 @@ func TestForwardRoleIsNoOp(t *testing.T) {
 	}
 	payload := make([]byte, 1500)
 	frame := rawFrame(payload)
-	out := pl.Process(0, frame, 0)
+	out := ProcessCloned(pl, 0, frame, 0)
 	if len(out) != 1 || !bytes.Equal(out[0].Frame, frame) || out[0].Port != 1 {
 		t.Fatal("no-op forwarding altered the frame")
 	}
@@ -205,7 +217,7 @@ func TestForwardRoleIsNoOp(t *testing.T) {
 
 func TestUnmappedPortDrops(t *testing.T) {
 	_, _, enc, _ := loadPair(t, Config{})
-	if out := enc.Process(0, rawFrame(make([]byte, 32)), 7); out != nil {
+	if out := ProcessCloned(enc, 0, rawFrame(make([]byte, 32)), 7); out != nil {
 		t.Fatal("packet on unmapped port not dropped")
 	}
 }
@@ -217,7 +229,7 @@ func TestNonRawTrafficPassesEncoder(t *testing.T) {
 	frame := packet.Frame(packet.Header{
 		Dst: testMACs.b, Src: testMACs.a, EtherType: 0x0800,
 	}, make([]byte, 64))
-	out := enc.Process(0, frame, 0)
+	out := ProcessCloned(enc, 0, frame, 0)
 	if !bytes.Equal(out[0].Frame, frame) {
 		t.Fatal("foreign frame modified")
 	}
@@ -237,8 +249,8 @@ func TestManyChunksRoundTripThroughPair(t *testing.T) {
 			InstallBasisToID(enc, s.Basis, nextID, int64(i))
 			nextID++
 		}
-		out := enc.Process(int64(i), rawFrame(payload), 0)
-		back := dec.Process(int64(i), out[0].Frame, 0)
+		out := ProcessCloned(enc, int64(i), rawFrame(payload), 0)
+		back := ProcessCloned(dec, int64(i), out[0].Frame, 0)
 		_, got, _ := packet.ParseHeader(back[0].Frame)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("packet %d did not round trip", i)
@@ -255,8 +267,8 @@ func TestPackedModeSmallerOnWire(t *testing.T) {
 	_, _, encP, _ := loadPair(t, Config{Packed: true})
 	payload := make([]byte, 32)
 	rand.New(rand.NewSource(5)).Read(payload)
-	a := encA.Process(0, rawFrame(payload), 0)
-	p := encP.Process(0, rawFrame(payload), 0)
+	a := ProcessCloned(encA, 0, rawFrame(payload), 0)
+	p := ProcessCloned(encP, 0, rawFrame(payload), 0)
 	if lenA, lenP := len(a[0].Frame), len(p[0].Frame); lenA-lenP != 1 {
 		t.Fatalf("aligned %dB vs packed %dB, want 1 byte difference", lenA, lenP)
 	}
@@ -272,7 +284,7 @@ func TestExpiredBasesSurface(t *testing.T) {
 		t.Fatalf("premature expiry: %v", exp)
 	}
 	// A data-plane hit refreshes the timer.
-	enc.Process(900, rawFrame(payload), 0)
+	ProcessCloned(enc, 900, rawFrame(payload), 0)
 	if exp := ExpiredBases(enc, 1500); len(exp) != 0 {
 		t.Fatalf("hit did not refresh TTL: %v", exp)
 	}
@@ -333,7 +345,7 @@ func BenchmarkEncodePath(b *testing.B) {
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pl.Process(int64(i), frame, 0)
+		ProcessCloned(pl, int64(i), frame, 0)
 		if pl.PendingDigests() > 1000 {
 			pl.DrainDigests()
 		}
@@ -348,8 +360,8 @@ func TestBCHModeRoundTrips(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		payload := make([]byte, 32)
 		rng.Read(payload)
-		out := enc.Process(int64(i), rawFrame(payload), 0)
-		back := dec.Process(int64(i), out[0].Frame, 0)
+		out := ProcessCloned(enc, int64(i), rawFrame(payload), 0)
+		back := ProcessCloned(dec, int64(i), out[0].Frame, 0)
 		_, got, _ := packet.ParseHeader(back[0].Frame)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("packet %d did not round trip in BCH mode", i)
@@ -359,7 +371,7 @@ func TestBCHModeRoundTrips(t *testing.T) {
 	// syndrome, 239-bit basis + pad byte): 2 + 1 + 30 = 33 bytes.
 	payload := make([]byte, 32)
 	rng.Read(payload)
-	out := enc.Process(999, rawFrame(payload), 0)
+	out := ProcessCloned(enc, 999, rawFrame(payload), 0)
 	_, encPayload, _ := packet.ParseHeader(out[0].Frame)
 	if len(encPayload) != 33 {
 		t.Fatalf("BCH type 2 payload = %d bytes", len(encPayload))

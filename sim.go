@@ -114,16 +114,27 @@ func SimulateLink(cfg LinkSimConfig) (LinkSimResult, error) {
 
 	var sent uint64
 	var inBytes uint64
+	done := false
 	a.Stream(0, 0, func(i uint64) []byte {
 		p := cfg.Payloads(int(i))
 		if p == nil {
+			done = true
 			return nil
 		}
 		sent++
 		inBytes += uint64(len(p))
 		return packet.Frame(packet.Header{Dst: dst, Src: src, EtherType: packet.EtherTypeRaw}, p)
 	})
-	sim.Run()
+	if cpCfg.SweepIntervalNs > 0 {
+		// The aging sweep re-arms itself forever, so the queue never
+		// drains: advance one TTL at a time until the sender has
+		// finished and the sweep is the only event left.
+		for !done || sim.Pending() > 1 {
+			sim.RunUntil(sim.Now() + cfg.TTL)
+		}
+	} else {
+		sim.Run()
+	}
 
 	rx := b.Rx()
 	res.Sent = sent

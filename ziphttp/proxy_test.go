@@ -15,7 +15,7 @@ import (
 
 // tcpPair returns two ends of a real loopback TCP connection, so the
 // half-close semantics under test (CloseWrite) actually exist.
-func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+func tcpPair(t testing.TB) (net.Conn, net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,7 +49,7 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 
 // bridgePair builds the paper's deployment in miniature over loopback
 // TCP: application A ↔ proxy A ↔ peer link ↔ proxy B ↔ application B.
-func bridgePair(t *testing.T, opts ...ziphttp.Option) (appA, appB net.Conn) {
+func bridgePair(t testing.TB, opts ...ziphttp.Option) (appA, appB net.Conn) {
 	t.Helper()
 	pA, err := ziphttp.NewProxy(opts...)
 	if err != nil {
@@ -268,5 +268,32 @@ func TestProxyManyConnections(t *testing.T) {
 			t.Fatalf("conn %d: mismatch", i)
 		}
 		appB.Close()
+	}
+}
+
+// BenchmarkProxyStream measures sustained throughput through a bridged
+// proxy pair over loopback TCP: one 64 KiB dictionary-covered segment
+// per op, written plain on one side and read plain on the far side,
+// compressed on the link between. The repo benchmark (bench/) drives
+// the HTTP gateway but not the TCP proxy, so this is the only
+// measurement of that path.
+func BenchmarkProxyStream(b *testing.B) {
+	payload := sensorPayload(33, 64<<10)
+	dict, err := zipline.TrainDict(payload, zipline.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	appA, appB := bridgePair(b, ziphttp.WithDict(dict))
+	buf := make([]byte, len(payload))
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := appA.Write(payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(appB, buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -129,6 +129,45 @@ func TestSimulateLinkShortPayloadsPassThrough(t *testing.T) {
 	}
 }
 
+// TestSimulateLinkTTLReturns: with aging on, the control plane's sweep
+// re-arms itself forever, so the run must end on the sender finishing,
+// not on an empty event queue. Packets 1 ms apart against a 100 µs TTL
+// find their mapping aged out far more often than not.
+func TestSimulateLinkTTLReturns(t *testing.T) {
+	payload := make([]byte, 32)
+	rand.New(rand.NewSource(2)).Read(payload)
+	run := func(ttl int64) LinkSimResult {
+		res, err := SimulateLink(LinkSimConfig{
+			ReplayPPS: 1000,
+			TTL:       ttl,
+			Payloads: func(i int) []byte {
+				if i >= 100 {
+					return nil
+				}
+				return payload
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sent != 100 || res.Received != res.Sent {
+			t.Fatalf("ttl %d: sent/received = %d/%d", ttl, res.Sent, res.Received)
+		}
+		return res
+	}
+	kept, aged := run(0), run(100_000)
+	if kept.CompressedFrames < 90 {
+		t.Fatalf("without aging only %d of 100 frames compressed", kept.CompressedFrames)
+	}
+	if aged.CompressedFrames*2 > kept.CompressedFrames {
+		t.Fatalf("compressed frames: %d with a 100 µs TTL vs %d without; aging had no effect",
+			aged.CompressedFrames, kept.CompressedFrames)
+	}
+	if aged.BasesLearned < 2 {
+		t.Fatalf("learned %d times with aging, want the basis re-learned", aged.BasesLearned)
+	}
+}
+
 func TestSimulateLinkValidation(t *testing.T) {
 	if _, err := SimulateLink(LinkSimConfig{}); err == nil {
 		t.Error("missing payload source accepted")
