@@ -41,11 +41,11 @@ type Config struct {
 	// (0 disables aging sweeps).
 	SweepIntervalNs netsim.Time
 
-	// Faults, when non-nil, arms the fault model: every control
-	// message (digest, table write, ack, restart notification) draws
-	// a loss decision from it, and the controller switches from the
-	// fire-and-forget install path to the reliable ack/retransmit
-	// protocol. Nil keeps the legacy event schedule byte-identical.
+	// Faults, when non-nil, arms the fault model: the control channel
+	// becomes lossy — every control message (digest, table write, ack,
+	// restart notification) draws a loss decision from it — and gains
+	// acks and retransmission. The protocol on top is the same; nil is
+	// the lossless channel, which draws and schedules nothing extra.
 	Faults *netsim.Faults
 	// ControlLossProb drops control messages i.i.d. per message
 	// (armed runs only).
@@ -147,7 +147,6 @@ type mapping struct {
 // the multi-switch deployment of §8's network-wide discussion.
 type Controller struct {
 	sim  *netsim.Sim
-	lane netsim.Lane
 	cfg  Config
 	encs []*tofino.Pipeline
 	decs []*tofino.Pipeline
@@ -159,12 +158,12 @@ type Controller struct {
 	inflight  map[string]netsim.Time // digest accepted (value: first emit time), writes pending
 	recycling map[string]bool        // victims with a pending eviction
 
-	// Fault-era state (see reliable.go). switches maps a managed
-	// pipeline to its simulated switch so reliable writes can observe
-	// crash state at delivery; gen bumps on every decoder restart and
-	// stales any install chain begun under an older value;
-	// bypassHolds refcounts overlapping resyncs holding an encoder in
-	// bypass.
+	// Restart state (see reliable.go), idle while no switch crashes.
+	// switches maps a managed pipeline to its simulated switch so
+	// reliable writes can observe crash state at delivery; gen bumps
+	// on every decoder restart and stales any install chain begun
+	// under an older value; bypassHolds refcounts overlapping resyncs
+	// holding an encoder in bypass.
 	switches    map[*tofino.Pipeline]*netsim.Switch
 	gen         uint64
 	bypassHolds map[*tofino.Pipeline]int
@@ -203,7 +202,6 @@ func NewMulti(sim *netsim.Sim, cfg Config, encs, decs []*tofino.Pipeline, basisB
 	}
 	c := &Controller{
 		sim:         sim,
-		lane:        sim.NewLane(),
 		cfg:         cfg,
 		encs:        encs,
 		decs:        decs,
@@ -229,7 +227,7 @@ func NewMulti(sim *netsim.Sim, cfg Config, encs, decs []*tofino.Pipeline, basisB
 		c.free = append(c.free, uint32(id))
 	}
 	if cfg.SweepIntervalNs > 0 {
-		sim.AfterLane(c.lane, cfg.SweepIntervalNs, c.sweep)
+		sim.After(cfg.SweepIntervalNs, c.sweep)
 	}
 	return c, nil
 }
@@ -268,12 +266,11 @@ func (c *Controller) Bind(sw *netsim.Switch) {
 			}
 			c.digestsBy[pl]++
 			data, emitted := d.Data, d.EmittedAt
-			if c.armed() {
-				c.sendDigest(pl, data, emitted)
-				continue
-			}
-			c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.DigestLatencyNs, c.cfg.JitterFrac), func() {
-				c.handleDigest(data, emitted)
+			// The switch-side digest agent retransmits on timeout,
+			// capped: an abandoned digest is re-emitted naturally by
+			// the next miss for the same basis.
+			c.deliver(c.cfg.DigestLatencyNs, c.cfg.MaxRetries, func() {
+				c.handleDigest(pl, data, emitted)
 			})
 		}
 	}
@@ -312,85 +309,77 @@ func (c *Controller) Manages(pl *tofino.Pipeline) bool {
 	return false
 }
 
-// armed reports whether the fault model is active; unarmed
-// controllers stay on the legacy fire-and-forget code paths so the
-// fault-free event schedule is byte-identical to the pre-fault
-// engine.
+// armed reports whether the control channel is lossy. deliver and
+// write are the only code that asks: everything above them is one
+// protocol whatever the channel.
 func (c *Controller) armed() bool { return c.cfg.Faults != nil }
 
-// HandleDigestNow injects a digest directly (test and tooling hook);
-// the digest latency is NOT applied.
+// HandleDigestNow injects a digest as if the first encoder had just
+// emitted it (test and tooling hook); the digest latency is NOT
+// applied.
 func (c *Controller) HandleDigestNow(basis *bitvec.Vector) {
-	c.handleDigest(basis.Bytes(), c.sim.Now())
+	c.handleDigest(c.encs[0], basis.Bytes(), c.sim.Now())
 }
 
-func (c *Controller) handleDigest(data []byte, emitted netsim.Time) {
+// handleDigest is the digest sink. It strips the epoch tag and
+// discards digests emitted by an earlier incarnation of src (only
+// messages already in flight at a crash), dedups against live and
+// mid-installation mappings and, when the basis is fresh, schedules
+// the allocation decision.
+func (c *Controller) handleDigest(src *tofino.Pipeline, data []byte, emitted netsim.Time) {
 	c.stats.DigestsSeen++
 	c.stats.DigestBytes += uint64(len(data))
-	c.acceptDigest(data, emitted)
-}
-
-// acceptDigest dedups a delivered digest and, when fresh, schedules
-// the allocation decision. Shared by the legacy and reliable digest
-// channels; the armed branch inside the decision callback is the only
-// divergence, and it costs no extra event or random draw when
-// unarmed.
-func (c *Controller) acceptDigest(data []byte, emitted netsim.Time) {
-	basis := bitvec.FromBytes(data, c.basisBits)
-	key := zswitch.BasisKey(basis)
-	if _, pending := c.inflight[key]; pending {
-		c.stats.Duplicates++
+	data, epoch := zswitch.SplitDigest(data, (c.basisBits+7)/8)
+	if epoch != zswitch.Epoch(src) {
+		c.stats.StaleDigests++
 		return
 	}
-	if _, known := c.byKey[key]; known {
+	basis := bitvec.FromBytes(data, c.basisBits)
+	key := zswitch.BasisKey(basis)
+	_, pending := c.inflight[key]
+	if _, known := c.byKey[key]; pending || known {
 		c.stats.Duplicates++
 		return
 	}
 	c.inflight[key] = emitted
-	c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.DecisionNs, c.cfg.JitterFrac), func() {
-		if c.armed() {
-			c.armedAllocate(key, basis)
-			return
-		}
-		c.allocateAndInstall(key, basis)
+	c.sim.After(c.sim.Jitter(c.cfg.DecisionNs, c.cfg.JitterFrac), func() {
+		c.allocate(key, basis)
 	})
 }
 
-// allocateAndInstall runs the paper's two-phase protocol for one new
-// basis. Each table touch costs one write latency; phases chain
-// sequentially: (optional evict from encoder) → decoder install →
-// encoder install.
-func (c *Controller) allocateAndInstall(key string, basis *bitvec.Vector) {
+// allocate picks the identifier for one new basis: an unused one if
+// available, otherwise the least recently used installed mapping's,
+// evicted from every encoder first (phase 0). The chain is tagged with
+// the current generation (see install).
+func (c *Controller) allocate(key string, basis *bitvec.Vector) {
+	gen := c.gen
 	if len(c.free) > 0 {
 		id := c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
-		c.installDecoderThenEncoder(key, basis, id)
+		c.install(key, basis, id, gen)
 		return
 	}
-	// Pool exhausted: recycle the least recently used installed
-	// mapping, as seen by the data plane's idle timers. If every
-	// mapping is mid-flight (a burst larger than the pool), retry
-	// after a write interval.
+	// Pool exhausted. If every mapping is mid-flight (a burst larger
+	// than the pool), retry after a write interval.
 	victimKey := c.pickVictim()
 	if victimKey == "" {
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
-			c.allocateAndInstall(key, basis)
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+			c.allocate(key, basis)
 		})
 		return
 	}
-	id := c.byKey[victimKey].id
+	victim := c.byKey[victimKey]
 	c.recycling[victimKey] = true
-	// Phase 0: stop every encoder from using the identifier (one
-	// batched write).
-	c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
-		basisVictim := c.byKey[victimKey].basis
-		for _, enc := range c.encs {
-			zswitch.DeleteBasisToID(enc, basisVictim)
-		}
+	// Phase 0: stop every encoder from using the identifier. Eviction
+	// must land (a half-evicted identifier could be recycled into a
+	// conflicting mapping), so it retries without cap.
+	c.write(c.encs, retryForever, func(enc *tofino.Pipeline) {
+		zswitch.DeleteBasisToID(enc, victim.basis)
+	}, func(bool) {
 		delete(c.byKey, victimKey)
 		delete(c.recycling, victimKey)
 		c.stats.Recycled++
-		c.installDecoderThenEncoder(key, basis, id)
+		c.install(key, basis, victim.id, gen)
 	})
 }
 
@@ -441,21 +430,51 @@ func (c *Controller) idleAcrossEncoders(key string) (int64, bool) {
 	return minIdle, live
 }
 
-func (c *Controller) installDecoderThenEncoder(key string, basis *bitvec.Vector, id uint32) {
-	// Phase 1: every decoder first, so that compressed packets can
-	// always be uncompressed (paper §5) — one batched BfRt write.
-	c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
-		for _, dec := range c.decs {
-			if err := zswitch.InstallIDToBasis(dec, id, basis, c.sim.Now()); err != nil {
-				panic(fmt.Sprintf("controlplane: decoder install: %v", err))
-			}
+// install runs the paper's two-phase protocol for one new basis:
+// every decoder first, so that compressed packets can always be
+// uncompressed (§5), and the encoders only once every decoder has
+// acknowledged. A chain begun under an older generation (a decoder
+// restarted since) is discarded write by write, and a tier that did
+// not fully acknowledge abandons the chain; on a lossless channel
+// neither happens.
+func (c *Controller) install(key string, basis *bitvec.Vector, id uint32, gen uint64) {
+	// Phase 1: every decoder.
+	c.write(c.decs, c.cfg.MaxRetries, func(dec *tofino.Pipeline) {
+		if c.gen != gen {
+			return // stale chain: discard at delivery
 		}
-		// Phase 2: the encoder mappings go live.
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
-			for _, enc := range c.encs {
-				if err := zswitch.InstallBasisToID(enc, basis, id, c.sim.Now()); err != nil {
-					panic(fmt.Sprintf("controlplane: encoder install: %v", err))
-				}
+		if err := zswitch.InstallIDToBasis(dec, id, basis, c.sim.Now()); err != nil {
+			panic(fmt.Sprintf("controlplane: decoder install: %v", err))
+		}
+	}, func(acked bool) {
+		if !acked || c.gen != gen {
+			// Abandoned or staled before any encoder write: no encoder
+			// maps the basis, so the identifier is safe to reuse (a
+			// future chain overwrites the decoders first). Reap the
+			// inflight entry so the next digest re-learns.
+			delete(c.inflight, key)
+			c.free = append(c.free, id)
+			return
+		}
+		// Phase 2: the mapping goes live on every encoder, then
+		// commits.
+		c.write(c.encs, c.cfg.MaxRetries, func(enc *tofino.Pipeline) {
+			if c.gen != gen {
+				return // stale chain: discard at delivery
+			}
+			if err := zswitch.InstallBasisToID(enc, basis, id, c.sim.Now()); err != nil {
+				panic(fmt.Sprintf("controlplane: encoder install: %v", err))
+			}
+		}, func(acked bool) {
+			if !acked || c.gen != gen {
+				// Some encoders may hold the mapping; every decoder
+				// does (phase 1 completed), so it decodes fine — but it
+				// never commits, so the identifier is retired rather
+				// than returned to the pool: a reuse would re-point
+				// decoder entries while the orphaned encoder entries
+				// still compress against the old basis.
+				delete(c.inflight, key)
+				return
 			}
 			c.byKey[key] = mapping{id: id, basis: basis}
 			if emitted, ok := c.inflight[key]; ok {
@@ -479,7 +498,7 @@ func (c *Controller) sweep() {
 		}
 	}
 	if len(expired) == 0 {
-		c.sim.AfterLane(c.lane, c.cfg.SweepIntervalNs, c.sweep)
+		c.sim.After(c.cfg.SweepIntervalNs, c.sweep)
 		return
 	}
 	// A key only expires when every encoder holding it reports it
@@ -509,14 +528,17 @@ func (c *Controller) sweep() {
 		basis := m.basis
 		// One write per tier: encoder entries out first, then the
 		// decoder entries, then the identifier returns to the pool.
+		// Expiry writes the tables directly, not through write: no
+		// test or sweep matrix pins an armed run with a TTL, so moving
+		// it onto the lossy channel would change schedules unobserved.
 		keyCopy, idCopy := key, m.id
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 			for _, enc := range c.encs {
 				zswitch.DeleteBasisToID(enc, basis)
 			}
 			delete(c.byKey, keyCopy)
 			delete(c.recycling, keyCopy)
-			c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+			c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
 				for _, dec := range c.decs {
 					zswitch.DeleteIDToBasis(dec, idCopy)
 				}
@@ -525,5 +547,5 @@ func (c *Controller) sweep() {
 			})
 		})
 	}
-	c.sim.AfterLane(c.lane, c.cfg.SweepIntervalNs, c.sweep)
+	c.sim.After(c.cfg.SweepIntervalNs, c.sweep)
 }

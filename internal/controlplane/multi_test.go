@@ -54,12 +54,14 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 
 	// Invariant checked at every event boundary: an encoder never
 	// knows a basis whose ID any decoder cannot resolve.
+	probed := 0
 	check := func() {
 		for _, enc := range []*tofino.Pipeline{enc1, enc2} {
 			encTbl, _ := enc.Table(zswitch.TableBasisToID)
-			if _, hit := encTbl.Get(s.Basis.Key()); !hit {
+			if _, hit := encTbl.Get(zswitch.BasisKey(s.Basis)); !hit {
 				continue
 			}
+			probed++
 			for _, dec := range []*tofino.Pipeline{dec1, dec2} {
 				decTbl, _ := dec.Table(zswitch.TableIDToBasis)
 				if decTbl.Len() == 0 {
@@ -71,6 +73,9 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 	for sim.Pending() > 0 {
 		sim.RunUntil(sim.Now() + 10*netsim.Microsecond)
 		check()
+	}
+	if probed == 0 {
+		t.Fatal("the probe never saw the basis in an encoder table: it checked nothing")
 	}
 
 	if ctl.Stats().Learned != 1 {

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"sort"
 
-	"zipline/internal/bitvec"
 	"zipline/internal/netsim"
 	"zipline/internal/tofino"
 	"zipline/internal/zswitch"
 )
 
-// This file is the fault-era control plane: a reliable control
-// channel (acks, deterministic timeout + capped exponential backoff
-// retransmit, capped retries with abandonment) and the restart
-// reconciliation protocol built on it. None of it runs — and none of
-// its random draws or events happen — unless Config.Faults is set, so
-// the fault-free schedule stays byte-identical to the pre-fault
-// engine.
+// This file is the control channel and the restart reconciliation
+// protocol built on it. The controller speaks one protocol over two
+// channels: deliver and write carry its messages either losslessly
+// (one latency draw, one event — the batched BfRt write of the
+// paper's testbed) or, when Config.Faults arms loss, reliably (acks,
+// deterministic timeout + capped exponential backoff retransmit,
+// capped retries with abandonment). The lossy channel's draws and
+// events happen only when armed.
 //
 // The safety argument for the zero-stranded-packets guarantee:
 //
@@ -69,7 +69,7 @@ func (c *Controller) send(m *relMsg) {
 		c.timeout(m) // lost in flight; the sender times out
 		return
 	}
-	c.sim.AfterLane(c.lane, c.sim.Jitter(m.latency, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(m.latency, c.cfg.JitterFrac), func() {
 		if m.target != nil && m.target.Down() {
 			c.timeout(m) // delivered into a dead switch: no ack
 			return
@@ -100,178 +100,57 @@ func (c *Controller) timeout(m *relMsg) {
 	}
 	wait := netsim.Backoff(c.cfg.RetransmitTimeoutNs, m.attempt)
 	m.attempt++
-	c.sim.AfterLane(c.lane, wait, func() {
+	c.sim.After(wait, func() {
 		c.stats.Retransmits++
 		c.send(m)
 	})
 }
 
-// switchOf returns the simulated switch hosting pl, nil when
-// unregistered (delivery then never observes a crash).
-func (c *Controller) switchOf(pl *tofino.Pipeline) *netsim.Switch {
-	return c.switches[pl]
-}
-
-// sendDigest carries one digest over the lossy control channel: the
-// switch-side digest agent retransmits on timeout, capped — an
-// abandoned digest is re-emitted naturally by the next miss for the
-// same basis.
-func (c *Controller) sendDigest(src *tofino.Pipeline, data []byte, emitted netsim.Time) {
-	c.send(&relMsg{
-		latency:    c.cfg.DigestLatencyNs,
-		maxRetries: c.cfg.MaxRetries,
-		apply:      func() { c.handleDigestFrom(src, data, emitted) },
-	})
-}
-
-// handleDigestFrom is the armed digest sink: it strips the epoch tag
-// and discards digests emitted by an earlier incarnation of the
-// switch (drained queues make these rare — only messages already in
-// flight at the crash).
-func (c *Controller) handleDigestFrom(src *tofino.Pipeline, data []byte, emitted netsim.Time) {
-	c.stats.DigestsSeen++
-	c.stats.DigestBytes += uint64(len(data))
-	basis, epoch := zswitch.SplitDigest(data, (c.basisBits+7)/8)
-	if epoch != zswitch.Epoch(src) {
-		c.stats.StaleDigests++
+// deliver carries one controller-bound message (a digest, a restart
+// notification): apply runs at the controller after the channel
+// latency, retransmitted up to maxRetries times on a lossy channel.
+func (c *Controller) deliver(latency netsim.Time, maxRetries int, apply func()) {
+	if !c.armed() {
+		c.sim.After(c.sim.Jitter(latency, c.cfg.JitterFrac), apply)
 		return
 	}
-	c.acceptDigest(basis, emitted)
+	c.send(&relMsg{latency: latency, maxRetries: maxRetries, apply: apply})
 }
 
-// armedAllocate is allocateAndInstall for the fault era: same
-// identifier policy, but every table touch is a reliable write and
-// the chain is tagged with the current generation.
-func (c *Controller) armedAllocate(key string, basis *bitvec.Vector) {
-	gen := c.gen
-	if len(c.free) > 0 {
-		id := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		c.armedInstallDecoders(key, basis, id, gen)
+// write carries one table write to a tier of pipelines: apply runs
+// once per target, in slice order, and done runs once afterwards,
+// reporting whether every target acknowledged (at once for an empty
+// tier). The lossless channel programs the whole tier in one batched
+// BfRt write; the lossy one sends each target its own reliable
+// message, whose delivery observes the hosting switch's crash state
+// (an unregistered pipeline never appears down).
+func (c *Controller) write(targets []*tofino.Pipeline, maxRetries int, apply func(*tofino.Pipeline), done func(acked bool)) {
+	if len(targets) == 0 {
+		done(true)
 		return
 	}
-	victimKey := c.pickVictim()
-	if victimKey == "" {
-		c.sim.AfterLane(c.lane, c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
-			c.armedAllocate(key, basis)
+	if !c.armed() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+			for _, pl := range targets {
+				apply(pl)
+			}
+			done(true)
 		})
 		return
 	}
-	victim := c.byKey[victimKey]
-	c.recycling[victimKey] = true
-	// Phase 0: stop every encoder from using the identifier. Eviction
-	// must land (a half-evicted identifier could be recycled into a
-	// conflicting mapping), so it retries without cap.
-	remaining := len(c.encs)
-	for _, enc := range c.encs {
-		enc := enc
+	remaining, allAcked := len(targets), true
+	for _, pl := range targets {
+		pl := pl
 		c.send(&relMsg{
-			target:     c.switchOf(enc),
+			target:     c.switches[pl],
 			latency:    c.cfg.WriteLatencyNs,
-			maxRetries: retryForever,
-			apply:      func() { zswitch.DeleteBasisToID(enc, victim.basis) },
-			resolve: func(bool) {
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				delete(c.byKey, victimKey)
-				delete(c.recycling, victimKey)
-				c.stats.Recycled++
-				c.armedInstallDecoders(key, basis, victim.id, gen)
-			},
-		})
-	}
-}
-
-// armedInstallDecoders is phase 1: one reliable write per decoder.
-// The chain advances to the encoders only once every decoder has
-// acknowledged — the paper's invariant, now ack-enforced.
-func (c *Controller) armedInstallDecoders(key string, basis *bitvec.Vector, id uint32, gen uint64) {
-	remaining := len(c.decs)
-	failed := false
-	for _, dec := range c.decs {
-		dec := dec
-		c.send(&relMsg{
-			target:     c.switchOf(dec),
-			latency:    c.cfg.WriteLatencyNs,
-			maxRetries: c.cfg.MaxRetries,
-			apply: func() {
-				if c.gen != gen {
-					return // stale chain: discard at delivery
-				}
-				if err := zswitch.InstallIDToBasis(dec, id, basis, c.sim.Now()); err != nil {
-					panic(fmt.Sprintf("controlplane: decoder install: %v", err))
-				}
-			},
+			maxRetries: maxRetries,
+			apply:      func() { apply(pl) },
 			resolve: func(acked bool) {
-				if !acked {
-					failed = true
+				allAcked = allAcked && acked
+				if remaining--; remaining == 0 {
+					done(allAcked)
 				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				if failed || c.gen != gen {
-					// Abandoned or staled before any encoder write:
-					// no encoder maps the basis, so the identifier is
-					// safe to reuse (a future chain overwrites the
-					// decoders first). Reap the inflight entry so the
-					// next digest re-learns.
-					delete(c.inflight, key)
-					c.free = append(c.free, id)
-					return
-				}
-				c.armedInstallEncoders(key, basis, id, gen)
-			},
-		})
-	}
-}
-
-// armedInstallEncoders is phase 2: the mapping goes live on every
-// encoder, then commits to byKey.
-func (c *Controller) armedInstallEncoders(key string, basis *bitvec.Vector, id uint32, gen uint64) {
-	remaining := len(c.encs)
-	failed := false
-	for _, enc := range c.encs {
-		enc := enc
-		c.send(&relMsg{
-			target:     c.switchOf(enc),
-			latency:    c.cfg.WriteLatencyNs,
-			maxRetries: c.cfg.MaxRetries,
-			apply: func() {
-				if c.gen != gen {
-					return // stale chain: discard at delivery
-				}
-				if err := zswitch.InstallBasisToID(enc, basis, id, c.sim.Now()); err != nil {
-					panic(fmt.Sprintf("controlplane: encoder install: %v", err))
-				}
-			},
-			resolve: func(acked bool) {
-				if !acked {
-					failed = true
-				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				if failed || c.gen != gen {
-					// Some encoders may hold the mapping; every
-					// decoder does (phase 1 completed), so it decodes
-					// fine — but it never commits, so the identifier
-					// is retired rather than returned to the pool: a
-					// reuse would re-point decoder entries while the
-					// orphaned encoder entries still compress against
-					// the old basis.
-					delete(c.inflight, key)
-					return
-				}
-				c.byKey[key] = mapping{id: id, basis: basis}
-				if emitted, ok := c.inflight[key]; ok {
-					c.delays.Add(float64(c.sim.Now()-emitted) / 1e6)
-				}
-				delete(c.inflight, key)
-				c.stats.Learned++
 			},
 		})
 	}
@@ -286,11 +165,7 @@ func (c *Controller) armedInstallEncoders(key string, basis *bitvec.Vector, id u
 // no earlier than quarantine + drain. The notification itself crosses
 // the lossy control channel and retries without cap.
 func (c *Controller) SwitchRestarted(pl *tofino.Pipeline, downSince, upAt netsim.Time, enable func()) {
-	c.send(&relMsg{
-		latency:    c.cfg.DigestLatencyNs,
-		maxRetries: retryForever,
-		apply:      func() { c.resync(pl, downSince, upAt, enable) },
-	})
+	c.deliver(c.cfg.DigestLatencyNs, retryForever, func() { c.resync(pl, downSince, upAt, enable) })
 }
 
 // resync reconciles a restarted switch. Encoders-only restarts are
@@ -303,13 +178,8 @@ func (c *Controller) resync(pl *tofino.Pipeline, downSince, upAt netsim.Time, en
 		if enable != nil {
 			enable()
 		}
-		c.send(&relMsg{
-			target:     c.switchOf(pl),
-			latency:    c.cfg.WriteLatencyNs,
-			maxRetries: retryForever,
-			apply:      func() { c.installAllBasisToID(pl) },
-			resolve:    func(bool) { c.recordRecovery(downSince) },
-		})
+		c.write([]*tofino.Pipeline{pl}, retryForever, c.installAllBasisToID,
+			func(bool) { c.recordRecovery(downSince) })
 		return
 	}
 
@@ -325,10 +195,17 @@ func (c *Controller) resync(pl *tofino.Pipeline, downSince, upAt netsim.Time, en
 	for _, enc := range c.encs {
 		if enc != pl {
 			quarantine = append(quarantine, enc)
+			c.bypassHolds[enc]++
 		}
 	}
-	remaining := len(quarantine)
-	proceed := func() {
+	c.write(quarantine, retryForever, func(enc *tofino.Pipeline) {
+		if err := zswitch.SetBypass(enc, true); err != nil {
+			panic(fmt.Sprintf("controlplane: quarantine: %v", err))
+		}
+		if t, ok := enc.Table(zswitch.TableBasisToID); ok {
+			t.Clear()
+		}
+	}, func(bool) {
 		// Ports open at the later of reboot completion and
 		// quarantine + drain — when quarantine finishes inside the
 		// reboot window (the common case), recovery costs no downtime
@@ -337,40 +214,13 @@ func (c *Controller) resync(pl *tofino.Pipeline, downSince, upAt netsim.Time, en
 		if delay < drainMarginNs {
 			delay = drainMarginNs
 		}
-		c.sim.AfterLane(c.lane, delay, func() {
+		c.sim.After(delay, func() {
 			if enable != nil {
 				enable()
 			}
 			c.reinstallDecoder(pl, quarantine, downSince)
 		})
-	}
-	if remaining == 0 {
-		proceed()
-		return
-	}
-	for _, enc := range quarantine {
-		enc := enc
-		c.bypassHolds[enc]++
-		c.send(&relMsg{
-			target:     c.switchOf(enc),
-			latency:    c.cfg.WriteLatencyNs,
-			maxRetries: retryForever,
-			apply: func() {
-				if err := zswitch.SetBypass(enc, true); err != nil {
-					panic(fmt.Sprintf("controlplane: quarantine: %v", err))
-				}
-				if t, ok := enc.Table(zswitch.TableBasisToID); ok {
-					t.Clear()
-				}
-			},
-			resolve: func(bool) {
-				remaining--
-				if remaining == 0 {
-					proceed()
-				}
-			},
-		})
-	}
+	})
 }
 
 // reinstallDecoder is phases B and C of decoder reconciliation: the
@@ -378,41 +228,16 @@ func (c *Controller) resync(pl *tofino.Pipeline, downSince, upAt netsim.Time, en
 // only after it acknowledges do the quarantined encoders get their
 // mappings (and their traffic) back.
 func (c *Controller) reinstallDecoder(pl *tofino.Pipeline, quarantined []*tofino.Pipeline, downSince netsim.Time) {
-	c.send(&relMsg{
-		target:     c.switchOf(pl),
-		latency:    c.cfg.WriteLatencyNs,
-		maxRetries: retryForever,
-		apply:      func() { c.installAllIDToBasis(pl) },
-		resolve: func(bool) {
-			if len(quarantined) == 0 {
-				c.recordRecovery(downSince)
-				return
+	c.write([]*tofino.Pipeline{pl}, retryForever, c.installAllIDToBasis, func(bool) {
+		c.write(quarantined, retryForever, func(enc *tofino.Pipeline) {
+			c.installAllBasisToID(enc)
+			c.bypassHolds[enc]--
+			if c.bypassHolds[enc] == 0 {
+				if err := zswitch.SetBypass(enc, false); err != nil {
+					panic(fmt.Sprintf("controlplane: bypass release: %v", err))
+				}
 			}
-			remaining := len(quarantined)
-			for _, enc := range quarantined {
-				enc := enc
-				c.send(&relMsg{
-					target:     c.switchOf(enc),
-					latency:    c.cfg.WriteLatencyNs,
-					maxRetries: retryForever,
-					apply: func() {
-						c.installAllBasisToID(enc)
-						c.bypassHolds[enc]--
-						if c.bypassHolds[enc] == 0 {
-							if err := zswitch.SetBypass(enc, false); err != nil {
-								panic(fmt.Sprintf("controlplane: bypass release: %v", err))
-							}
-						}
-					},
-					resolve: func(bool) {
-						remaining--
-						if remaining == 0 {
-							c.recordRecovery(downSince)
-						}
-					},
-				})
-			}
-		},
+		}, func(bool) { c.recordRecovery(downSince) })
 	})
 }
 

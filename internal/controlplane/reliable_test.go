@@ -113,7 +113,7 @@ func TestStaleEpochDigestDiscarded(t *testing.T) {
 	basisBytes := (tb.ctl.basisBits + 7) / 8
 	data := make([]byte, basisBytes+4)
 	data[basisBytes+3] = 9 // epoch 9; the switch is on epoch 0
-	tb.ctl.handleDigestFrom(pl, data, 0)
+	tb.ctl.handleDigest(pl, data, 0)
 
 	st := tb.ctl.Stats()
 	if st.StaleDigests != 1 {
@@ -124,7 +124,7 @@ func TestStaleEpochDigestDiscarded(t *testing.T) {
 	}
 
 	// The same bytes with the correct (zero) epoch are accepted.
-	tb.ctl.handleDigestFrom(pl, data[:basisBytes+4-4], 0)
+	tb.ctl.handleDigest(pl, data[:basisBytes+4-4], 0)
 	if len(tb.ctl.inflight) != 1 {
 		t.Fatalf("current-epoch digest not accepted: inflight=%d", len(tb.ctl.inflight))
 	}

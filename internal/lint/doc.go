@@ -7,7 +7,7 @@
 // hot paths, byte-stable simulation reports for any worker count, and
 // stream Close errors that always reach an exit code. The analyzers in
 // this package enforce those invariants mechanically so that future
-// churn (batched kernels, sharded event loops, the ziphttp gateway)
+// churn (batched kernels, event-loop rewrites, the ziphttp gateway)
 // cannot silently regress them.
 //
 // The framework mirrors go/analysis deliberately — Analyzer, Pass,

@@ -8,12 +8,12 @@ import (
 // FaultSpec is the JSON-declarable fault schedule of one simulation:
 // timed switch crash/restart events, link down/up flaps, and a loss
 // probability on every switch↔controller control channel. The zero
-// value (and a nil pointer) is the fault-free world every pre-fault
-// scenario ran in; Armed reports whether any fault source is active,
-// which is the gate the control plane uses to decide between the
-// legacy fire-and-forget install path and the reliable
-// ack/retransmit protocol — so a spec with an empty FaultSpec
-// produces the byte-identical event schedule of the pre-fault engine.
+// value (and a nil pointer) is the fault-free world; Armed reports
+// whether any fault source is active, which decides whether the
+// control plane's one install protocol runs over a lossless channel
+// or a lossy one with acks and retransmission — so a spec with an
+// empty FaultSpec draws and schedules nothing a spec without one
+// would not, and reports the identical bytes.
 type FaultSpec struct {
 	// ControlLossProb drops control-channel messages (digests, table
 	// writes, acks, restart notifications) i.i.d. per message.
@@ -73,8 +73,8 @@ const (
 )
 
 // Armed reports whether any fault source is active. An unarmed spec
-// must leave the engine on the legacy code paths so the no-fault
-// event schedule — and therefore every report byte — is unchanged.
+// must cost no event and no random draw, so the no-fault event
+// schedule — and therefore every report byte — is unchanged.
 func (f *FaultSpec) Armed() bool {
 	if f == nil {
 		return false

@@ -68,10 +68,9 @@ type RxStats struct {
 
 // Host is a testbed server: traffic generator and sink.
 type Host struct {
-	sim  *Sim
-	lane Lane
-	cfg  HostConfig
-	nic  *Endpoint
+	sim *Sim
+	cfg HostConfig
+	nic *Endpoint
 
 	// OnReceive, when set, observes every delivered frame.
 	OnReceive func(frame []byte, at Time)
@@ -79,11 +78,9 @@ type Host struct {
 	rx RxStats
 }
 
-// NewHost builds a host and attaches it to its NIC endpoint. Each
-// host gets its own event lane: generator and receive events shard
-// per host and merge deterministically.
+// NewHost builds a host and attaches it to its NIC endpoint.
 func NewHost(sim *Sim, cfg HostConfig, nic *Endpoint) *Host {
-	h := &Host{sim: sim, lane: sim.NewLane(), cfg: cfg.withDefaults(), nic: nic}
+	h := &Host{sim: sim, cfg: cfg.withDefaults(), nic: nic}
 	h.resetRxMarks()
 	nic.SetReceiver(h.receive)
 	return h
@@ -115,7 +112,7 @@ func (h *Host) receive(frame []byte, at Time) {
 	// Host-side receive cost: the frame is visible to the
 	// application a little after the wire delivered it.
 	delay := h.sim.Jitter(h.cfg.RxLatencyNs, h.cfg.LatencyJitterFrac)
-	h.sim.AfterLane(h.lane, delay, func() {
+	h.sim.After(delay, func() {
 		now := h.sim.Now()
 		h.rx.Frames++
 		h.rx.FrameBytes += uint64(len(frame))
@@ -141,7 +138,7 @@ func (h *Host) receive(frame []byte, at Time) {
 // Send transmits one frame, paying the host TX cost first.
 func (h *Host) Send(frame []byte) {
 	delay := h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac)
-	h.sim.AfterLane(h.lane, delay, func() {
+	h.sim.After(delay, func() {
 		h.nic.Send(frame)
 	})
 }
@@ -183,13 +180,13 @@ func (h *Host) StreamPaced(start, stop Time, pps float64, next func(i uint64) []
 		if nextAt == h.sim.Now() {
 			nextAt++ // guarantee progress even with no pacing
 		}
-		h.sim.AtLane(h.lane, nextAt, tick)
+		h.sim.At(nextAt, tick)
 	}
-	h.sim.AtLane(h.lane, start, func() {
+	h.sim.At(start, func() {
 		// The first frame pays the host TX cost; subsequent frames
 		// stream from the NIC without re-paying it (the generator
 		// keeps the NIC fed, as raw_ethernet_bw does).
-		h.sim.AfterLane(h.lane, h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), tick)
+		h.sim.After(h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), tick)
 	})
 }
 
@@ -221,7 +218,7 @@ func (h *Host) StreamTimed(start, stop Time, offsetAt func(i uint64) (Time, bool
 		if wire := h.sim.Now() + h.nic.QueueDelay(); wire > sendAt {
 			sendAt = wire
 		}
-		h.sim.AtLane(h.lane, sendAt, func() {
+		h.sim.At(sendAt, func() {
 			if stop > 0 && h.sim.Now() >= stop {
 				return
 			}
@@ -234,8 +231,8 @@ func (h *Host) StreamTimed(start, stop Time, offsetAt func(i uint64) (Time, bool
 			step()
 		})
 	}
-	h.sim.AtLane(h.lane, start, func() {
+	h.sim.At(start, func() {
 		// Like StreamPaced, only the first frame pays the host TX cost.
-		h.sim.AfterLane(h.lane, h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), step)
+		h.sim.After(h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), step)
 	})
 }

@@ -102,7 +102,6 @@ func (c LinkConfig) withDefaults() LinkConfig {
 // flow control keeps the paper's measurements loss-free).
 type Endpoint struct {
 	sim  *Sim
-	lane Lane
 	cfg  LinkConfig
 	name string
 
@@ -123,14 +122,11 @@ type Endpoint struct {
 }
 
 // NewLink wires two endpoints together and returns them. Receivers
-// are attached afterwards with SetReceiver. Both directions share one
-// event lane: delivery events shard per link and merge
-// deterministically.
+// are attached afterwards with SetReceiver.
 func NewLink(sim *Sim, cfg LinkConfig, nameA, nameB string) (*Endpoint, *Endpoint) {
 	cfg = cfg.withDefaults()
-	lane := sim.NewLane()
-	a := &Endpoint{sim: sim, lane: lane, cfg: cfg, name: nameA}
-	b := &Endpoint{sim: sim, lane: lane, cfg: cfg, name: nameB}
+	a := &Endpoint{sim: sim, cfg: cfg, name: nameA}
+	b := &Endpoint{sim: sim, cfg: cfg, name: nameB}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -206,7 +202,7 @@ func (e *Endpoint) Send(frame []byte) Time {
 // flap started.
 func (e *Endpoint) deliver(frame []byte, arrive Time) {
 	peer := e.peer
-	e.sim.AtLane(e.lane, arrive, func() {
+	e.sim.At(arrive, func() {
 		if peer.down {
 			peer.Stats.DownDrops++
 			return

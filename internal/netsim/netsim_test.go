@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"zipline/internal/packet"
@@ -25,6 +27,82 @@ func TestEventOrdering(t *testing.T) {
 	}
 	if s.Now() != 30 {
 		t.Fatalf("Now = %d", s.Now())
+	}
+}
+
+// TestEventOrderDifferential checks the event heap against the order
+// it must implement: a few thousand At/After calls on a coarse
+// timestamp grid (so most events tie), a third of them scheduled from
+// inside running events, with RunUntil cuts in between. The executed
+// order must equal a stable sort of the schedule log by timestamp
+// (stable = by scheduling sequence), and Pending/Scheduled must agree
+// with the log at every cut.
+func TestEventOrderDifferential(t *testing.T) {
+	const budget = 4000
+	rng := rand.New(rand.NewSource(7))
+	s := NewSim(1)
+	var log []Time // log[i]: timestamp of the i-th scheduled event
+	var ran []int  // indices into log, in execution order
+
+	var schedule func()
+	schedule = func() {
+		i := len(log)
+		d := Time(rng.Intn(8)) * 10
+		log = append(log, s.Now()+d)
+		fn := func() {
+			ran = append(ran, i)
+			if log[i] != s.Now() {
+				t.Fatalf("event %d scheduled for %d ran at %d", i, log[i], s.Now())
+			}
+			for k := rng.Intn(3); k > 0 && len(log) < budget && rng.Intn(2) == 0; k-- {
+				schedule()
+			}
+		}
+		if rng.Intn(2) == 0 {
+			s.After(d, fn)
+		} else {
+			s.At(s.Now()+d, fn)
+		}
+	}
+	check := func(deadline Time) {
+		t.Helper()
+		if got := s.Scheduled(); got != uint64(len(log)) {
+			t.Fatalf("Scheduled = %d, log has %d", got, len(log))
+		}
+		if got := s.Pending(); got != len(log)-len(ran) {
+			t.Fatalf("Pending = %d, want %d", got, len(log)-len(ran))
+		}
+		done := make([]bool, len(log))
+		for _, i := range ran {
+			done[i] = true
+		}
+		for i, at := range log {
+			if done[i] != (at <= deadline) {
+				t.Fatalf("cut at %d: event %d (at %d) ran=%v", deadline, i, at, done[i])
+			}
+		}
+	}
+
+	for len(log) < budget {
+		for k := 0; k < 150 && len(log) < budget; k++ {
+			schedule()
+		}
+		deadline := s.Now() + Time(rng.Intn(60))
+		s.RunUntil(deadline)
+		check(deadline)
+	}
+	s.Run()
+	check(s.Now())
+
+	want := make([]int, len(log))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return log[want[a]] < log[want[b]] })
+	for i := range want {
+		if ran[i] != want[i] {
+			t.Fatalf("execution diverges from (at, seq) order at position %d: ran event %d, want %d", i, ran[i], want[i])
+		}
 	}
 }
 

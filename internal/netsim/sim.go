@@ -23,9 +23,8 @@ type event struct {
 }
 
 // eventLess is the simulator's total execution order: timestamp, then
-// global scheduling sequence. seq is unique across all lanes, so two
-// events never compare equal and the order is independent of how
-// events are sharded.
+// scheduling sequence. seq is unique, so two events never compare
+// equal and the pop order cannot depend on the heap's shape.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -33,97 +32,21 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// laneQueue is one shard of the event loop: a binary min-heap over
-// (at, seq). Sharding keeps each per-component heap small and hot in
-// cache, and the typed slice avoids container/heap's per-event
-// interface boxing (one allocation per scheduled event in the old
-// single-heap engine).
-type laneQueue struct {
-	events []event
-	// pos is this lane's index in the merge heap, -1 while the lane
-	// is empty (and so absent from the merge).
-	pos int
-}
-
-// push inserts an event and reports whether it became the lane's new
-// head (the merge heap must then re-rank the lane).
-func (q *laneQueue) push(e event) bool {
-	q.events = append(q.events, e)
-	i := len(q.events) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(&q.events[i], &q.events[p]) {
-			break
-		}
-		q.events[i], q.events[p] = q.events[p], q.events[i]
-		i = p
-	}
-	return i == 0
-}
-
-// pop removes and returns the lane's head event.
-func (q *laneQueue) pop() event {
-	e := q.events[0]
-	n := len(q.events) - 1
-	q.events[0] = q.events[n]
-	q.events[n].fn = nil // release the closure to the GC
-	q.events = q.events[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && eventLess(&q.events[l], &q.events[m]) {
-			m = l
-		}
-		if r < n && eventLess(&q.events[r], &q.events[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q.events[i], q.events[m] = q.events[m], q.events[i]
-		i = m
-	}
-	return e
-}
-
-// Lane identifies one shard of the event loop. Components that
-// schedule heavily (switches, links, hosts, the control plane) each
-// take a lane of their own; DefaultLane serves everything else.
-type Lane int
-
-// DefaultLane is the lane At and After schedule on. Every simulator
-// has it from birth.
-const DefaultLane Lane = 0
-
-// Sim is the event loop, sharded into per-component lanes merged
-// deterministically by (timestamp, scheduling sequence). Not safe for
-// concurrent use: the simulation is single-threaded by design
-// (determinism). The execution order is identical to a single global
-// heap — lane assignment is a performance choice, never a semantic
-// one — so reports are byte-stable across engine versions for a
-// given seed.
+// Sim is the event loop: one binary min-heap over (at, seq), typed so
+// that scheduling an event boxes nothing (container/heap costs one
+// allocation per push). Not safe for concurrent use: the simulation
+// is single-threaded by design (determinism), and reports are
+// byte-stable for a given seed.
 type Sim struct {
-	now     Time
-	lanes   []*laneQueue
-	merge   []int // indexed heap of non-empty lanes, ranked by head event
-	pending int
-	seq     uint64
-	rng     *rand.Rand
+	now    Time
+	events []event
+	seq    uint64
+	rng    *rand.Rand
 }
 
 // NewSim creates a simulator whose jitter sources derive from seed.
 func NewSim(seed int64) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed))}
-	s.lanes = append(s.lanes, &laneQueue{pos: -1}) // DefaultLane
-	return s
-}
-
-// NewLane adds an event-queue shard and returns its handle. Lanes are
-// cheap; one per simulated component keeps every heap small.
-func (s *Sim) NewLane() Lane {
-	s.lanes = append(s.lanes, &laneQueue{pos: -1})
-	return Lane(len(s.lanes) - 1)
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -132,36 +55,30 @@ func (s *Sim) Now() Time { return s.now }
 // Rand exposes the simulation's seeded random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn at absolute time t (not before now) on the default
-// lane.
-func (s *Sim) At(t Time, fn func()) { s.AtLane(DefaultLane, t, fn) }
-
-// After schedules fn d nanoseconds from now on the default lane.
-func (s *Sim) After(d Time, fn func()) { s.AfterLane(DefaultLane, d, fn) }
-
-// AtLane schedules fn at absolute time t (not before now) on lane l.
-func (s *Sim) AtLane(l Lane, t Time, fn func()) {
+// At schedules fn at absolute time t (not before now).
+func (s *Sim) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("netsim: scheduling into the past (%d < %d)", t, s.now))
 	}
 	s.seq++
-	q := s.lanes[l]
-	wasEmpty := len(q.events) == 0
-	headChanged := q.push(event{at: t, seq: s.seq, fn: fn})
-	s.pending++
-	if wasEmpty {
-		s.mergeAdd(int(l))
-	} else if headChanged {
-		s.mergeUp(q.pos)
+	s.events = append(s.events, event{at: t, seq: s.seq, fn: fn})
+	i := len(s.events) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(&s.events[i], &s.events[p]) {
+			break
+		}
+		s.events[i], s.events[p] = s.events[p], s.events[i]
+		i = p
 	}
 }
 
-// AfterLane schedules fn d nanoseconds from now on lane l.
-func (s *Sim) AfterLane(l Lane, d Time, fn func()) {
+// After schedules fn d nanoseconds from now.
+func (s *Sim) After(d Time, fn func()) {
 	if d < 0 {
 		panic("netsim: negative delay")
 	}
-	s.AtLane(l, s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
 // Jitter returns a duration drawn uniformly from
@@ -176,101 +93,36 @@ func (s *Sim) Jitter(d Time, frac float64) Time {
 	return Time(lo + s.rng.Float64()*(hi-lo))
 }
 
-// laneLess ranks two merge-heap entries by their lanes' head events.
-func (s *Sim) laneLess(a, b int) bool {
-	return eventLess(&s.lanes[a].events[0], &s.lanes[b].events[0])
-}
-
-// mergeSwap exchanges two merge-heap slots and fixes the lanes'
-// back-pointers.
-func (s *Sim) mergeSwap(i, j int) {
-	s.merge[i], s.merge[j] = s.merge[j], s.merge[i]
-	s.lanes[s.merge[i]].pos = i
-	s.lanes[s.merge[j]].pos = j
-}
-
-func (s *Sim) mergeUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.laneLess(s.merge[i], s.merge[p]) {
-			return
-		}
-		s.mergeSwap(i, p)
-		i = p
-	}
-}
-
-func (s *Sim) mergeDown(i int) {
+// pop removes and returns the earliest pending event.
+func (s *Sim) pop() event {
+	e := s.events[0]
+	n := len(s.events) - 1
+	s.events[0] = s.events[n]
+	s.events[n].fn = nil // release the closure to the GC
+	s.events = s.events[:n]
+	i := 0
 	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(s.merge) && s.laneLess(s.merge[l], s.merge[m]) {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < n && eventLess(&s.events[l], &s.events[m]) {
 			m = l
 		}
-		if r < len(s.merge) && s.laneLess(s.merge[r], s.merge[m]) {
+		if r < n && eventLess(&s.events[r], &s.events[m]) {
 			m = r
 		}
 		if m == i {
-			return
+			break
 		}
-		s.mergeSwap(i, m)
+		s.events[i], s.events[m] = s.events[m], s.events[i]
 		i = m
 	}
+	return e
 }
 
-// mergeAdd registers a newly non-empty lane in the merge heap.
-func (s *Sim) mergeAdd(lane int) {
-	s.lanes[lane].pos = len(s.merge)
-	s.merge = append(s.merge, lane)
-	s.mergeUp(s.lanes[lane].pos)
-}
-
-// mergeRemove drops a newly empty lane from the merge heap.
-func (s *Sim) mergeRemove(lane int) {
-	i := s.lanes[lane].pos
-	last := len(s.merge) - 1
-	s.mergeSwap(i, last)
-	s.merge = s.merge[:last]
-	s.lanes[lane].pos = -1
-	if i < last {
-		s.mergeDown(i)
-		s.mergeUp(i)
-	}
-}
-
-// popNext removes and returns the globally earliest event: the head
-// of the best-ranked lane in the merge heap.
-func (s *Sim) popNext() (event, bool) {
-	if len(s.merge) == 0 {
-		return event{}, false
-	}
-	lane := s.merge[0]
-	q := s.lanes[lane]
-	e := q.pop()
-	s.pending--
-	if len(q.events) == 0 {
-		s.mergeRemove(lane)
-	} else {
-		s.mergeDown(0)
-	}
-	return e, true
-}
-
-// head returns the globally earliest pending event without removing
-// it (nil when the queues are drained).
-func (s *Sim) head() *event {
-	if len(s.merge) == 0 {
-		return nil
-	}
-	return &s.lanes[s.merge[0]].events[0]
-}
-
-// Run executes events until every lane drains.
+// Run executes events until the queue drains.
 func (s *Sim) Run() {
-	for {
-		e, ok := s.popNext()
-		if !ok {
-			return
-		}
+	for len(s.events) > 0 {
+		e := s.pop()
 		s.now = e.at
 		e.fn()
 	}
@@ -279,8 +131,8 @@ func (s *Sim) Run() {
 // RunUntil executes events with timestamps ≤ deadline, then advances
 // the clock to the deadline. Later events stay queued.
 func (s *Sim) RunUntil(deadline Time) {
-	for h := s.head(); h != nil && h.at <= deadline; h = s.head() {
-		e, _ := s.popNext()
+	for len(s.events) > 0 && s.events[0].at <= deadline {
+		e := s.pop()
 		s.now = e.at
 		e.fn()
 	}
@@ -289,8 +141,8 @@ func (s *Sim) RunUntil(deadline Time) {
 	}
 }
 
-// Pending reports the number of queued events across all lanes.
-func (s *Sim) Pending() int { return s.pending }
+// Pending reports the number of queued events.
+func (s *Sim) Pending() int { return len(s.events) }
 
 // Scheduled reports the total number of events scheduled since the
 // simulator was created — the denominator for events-per-second

@@ -39,7 +39,6 @@ func (c SwitchConfig) withDefaults() SwitchConfig {
 // the control plane.
 type Switch struct {
 	sim   *Sim
-	lane  Lane
 	cfg   SwitchConfig
 	pl    *tofino.Pipeline
 	ports map[tofino.Port]*Endpoint
@@ -63,10 +62,9 @@ type Switch struct {
 	OnDigest func(ds []tofino.Digest)
 }
 
-// NewSwitch wraps a loaded pipeline. Each switch gets its own event
-// lane: traversal events shard per switch and merge deterministically.
+// NewSwitch wraps a loaded pipeline.
 func NewSwitch(sim *Sim, cfg SwitchConfig, pl *tofino.Pipeline) *Switch {
-	return &Switch{sim: sim, lane: sim.NewLane(), cfg: cfg.withDefaults(), pl: pl, ports: make(map[tofino.Port]*Endpoint)}
+	return &Switch{sim: sim, cfg: cfg.withDefaults(), pl: pl, ports: make(map[tofino.Port]*Endpoint)}
 }
 
 // Pipeline exposes the loaded pipeline (control-plane access).
@@ -101,7 +99,7 @@ func (sw *Switch) ingress(p tofino.Port, frame []byte) {
 	// Constant traversal latency, independent of what the program
 	// does with the packet.
 	d := sw.sim.Jitter(sw.cfg.PipelineLatencyNs, sw.cfg.LatencyJitterFrac)
-	sw.sim.AfterLane(sw.lane, d, func() {
+	sw.sim.After(d, func() {
 		if sw.down {
 			// Crashed mid-traversal: the packet is lost with the
 			// pipeline state.

@@ -163,8 +163,7 @@ func Preset(name string) (Spec, bool) {
 	case "fat-tree-churn":
 		// Datacenter scale: a k=8 fat-tree with 32 hosts per edge
 		// switch — 1024 hosts, 80 switches, 1280 links — under heavier
-		// churn with edge placement. The sharded event loop's width
-		// test.
+		// churn with edge placement. The event loop's width test.
 		return Spec{
 			Name:      "fat-tree-churn",
 			Topology:  &TopologySpec{Kind: TopoFatTree, K: 8, HostsPerEdge: 32},

@@ -72,8 +72,9 @@ type Spec struct {
 	Placement *PlacementSpec `json:"placement,omitempty"`
 
 	// Faults schedules switch restarts, link flaps and control-channel
-	// loss. Nil (or an all-zero schedule) keeps the run on the legacy
-	// fault-free code paths, byte-identical to the pre-fault engine.
+	// loss. Nil (or an all-zero schedule) leaves the control channel
+	// lossless and schedules nothing: the report is byte-identical to
+	// a run without the field.
 	Faults *netsim.FaultSpec `json:"faults,omitempty"`
 }
 

@@ -76,7 +76,7 @@ func TestISPTopologyDelivers(t *testing.T) {
 }
 
 // TestFatTreeChurnAtScale: the 1024-host k=8 preset must complete and
-// deliver everything — the sharded event loop's width test.
+// deliver everything — the event loop's width test.
 func TestFatTreeChurnAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-host build; run without -short")
@@ -95,7 +95,7 @@ func TestFatTreeChurnAtScale(t *testing.T) {
 
 // TestFatTreeChurnSeedHammer: sixteen seeds of fat-tree churn, each
 // run twice, must reproduce byte-for-byte. This is the race job's
-// determinism hammer for the sharded event loop.
+// determinism hammer for the event loop.
 func TestFatTreeChurnSeedHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32 churn runs; run without -short")

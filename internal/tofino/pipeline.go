@@ -289,14 +289,9 @@ func (c *Ctx) checkApply(h TableHandle) *Table {
 	return c.p.tables[h.idx]
 }
 
-// Apply looks the key up in a table, at most once per pass.
-func (c *Ctx) Apply(h TableHandle, key string) (any, bool) {
-	return c.checkApply(h).lookup(key, c.now)
-}
-
-// ApplyBytes is Apply with a byte-slice key: the data-plane match on
-// a header field. It allocates nothing (the map lookup uses the
-// compiler's string-conversion elision).
+// ApplyBytes looks the key up in a table, at most once per pass: the
+// data-plane match on a header field. It allocates nothing (the map
+// lookup uses the compiler's string-conversion elision).
 //
 //zipline:noalloc
 func (c *Ctx) ApplyBytes(h TableHandle, key []byte) (any, bool) {

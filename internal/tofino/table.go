@@ -67,20 +67,10 @@ func (t *Table) Len() int { return len(t.entries) }
 // Capacity returns the declared maximum entry count.
 func (t *Table) Capacity() int { return t.capacity }
 
-// lookup is the data-plane path: a hit refreshes the entry's idle
-// timer (TNA resets the TTL on data-plane match).
-func (t *Table) lookup(key string, now int64) (any, bool) {
-	e, ok := t.entries[key]
-	if !ok {
-		return nil, false
-	}
-	e.lastHit = now
-	return e.action, true
-}
-
-// lookupBytes is lookup keyed by a byte slice. The map index uses the
-// string(key) conversion directly so the compiler elides the string
-// allocation — the per-packet match costs a hash, not a copy.
+// lookupBytes is the data-plane path: a hit refreshes the entry's
+// idle timer (TNA resets the TTL on data-plane match). The map index
+// uses the string(key) conversion directly so the compiler elides the
+// string allocation — the per-packet match costs a hash, not a copy.
 //
 //zipline:noalloc
 func (t *Table) lookupBytes(key []byte, now int64) (any, bool) {

@@ -36,15 +36,15 @@ func (p *echoProg) Declare(a *Alloc) error {
 }
 
 func (p *echoProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit {
-	key := string(frame[:4])
-	if _, ok := ctx.Apply(p.tbl, key); ok {
+	key := frame[:4]
+	if _, ok := ctx.ApplyBytes(p.tbl, key); ok {
 		ctx.Count(p.hits, 1)
 	} else {
 		ctx.Count(p.misses, 1)
 		ctx.Digest("unknown", frame[:4])
 	}
 	if p.applyTwice {
-		ctx.Apply(p.tbl, key)
+		ctx.ApplyBytes(p.tbl, key)
 	}
 	ctx.WriteReg(p.reg, 0, ctx.ReadReg(p.reg, 0)+1)
 	return append(out, Emit{Port: ingress ^ 1, Frame: frame})
@@ -146,7 +146,7 @@ func TestTableIdleTimeout(t *testing.T) {
 	tbl.Install("a", 1, 0)
 	tbl.Install("b", 2, 0)
 	// Data-plane hit on a at t=50 refreshes its timer.
-	if _, ok := tbl.lookup("a", 50); !ok {
+	if _, ok := tbl.lookupBytes([]byte("a"), 50); !ok {
 		t.Fatal("lookup miss")
 	}
 	exp := tbl.ExpiredKeys(120)
@@ -333,7 +333,7 @@ func TestCtxNowAndUndeclaredPanics(t *testing.T) {
 				t.Error("undeclared table accepted")
 			}
 		}()
-		(&Ctx{p: p}).Apply(TableHandle{name: "ghost"}, "k")
+		(&Ctx{p: p}).ApplyBytes(TableHandle{name: "ghost"}, []byte("k"))
 	}()
 }
 

@@ -732,6 +732,7 @@ type Reader struct {
 	origin int64 // underlying offset of the container's first byte
 	pos    int64 // uncompressed read position (Seek/ReadAt)
 	idx    *streamIndex
+	jumped bool // seekTo entered the next group from the index; readBlock checks it
 
 	out     []byte // decoded bytes not yet read
 	outBuf  []byte // recycled backing array for out (streaming Read path)
@@ -788,7 +789,7 @@ func (zr *Reader) Reset(r io.Reader) {
 	zr.seeker, zr.origin, zr.pos = nil, 0, 0
 	zr.idx = nil
 	zr.out = nil
-	zr.done, zr.started = false, false
+	zr.done, zr.started, zr.jumped = false, false, false
 	zr.err = nil
 	zr.Stats = StreamStats{}
 }
@@ -1055,7 +1056,8 @@ func (zr *Reader) Seek(offset int64, whence int) (int64, error) {
 func (zr *Reader) seekTo(target uint64) error {
 	ckGroup, g, ok := zr.idx.checkpointAtOrBefore(target)
 	off, seq, pos := int64(zr.idx.trailerOff), uint32(len(zr.idx.groups)), zr.idx.uncompTotal
-	if ok && target < zr.idx.uncompTotal {
+	zr.jumped = ok && target < zr.idx.uncompTotal
+	if zr.jumped {
 		off, seq, pos = int64(g.compOff), ckGroup, g.uncompOff
 	}
 	if _, err := zr.seeker.Seek(zr.origin+off, io.SeekStart); err != nil {
@@ -1068,6 +1070,14 @@ func (zr *Reader) seekTo(target uint64) error {
 	zr.out = nil
 	if len(zr.decs) > 0 && zr.decs[0] != nil {
 		zr.decs[0].dict.Reset()
+	}
+	if zr.jumped {
+		// Decode the jumped-to group inside the Seek, so that a group the
+		// index wrongly lists as a checkpoint fails here (readBlock holds
+		// it to its in-band flag) and not at some later Read.
+		if err := zr.readBlock(); err != nil {
+			return err
+		}
 	}
 	for pos < target {
 		if len(zr.out) > 0 {
@@ -1133,6 +1143,12 @@ func (zr *Reader) readBlock() error {
 	if h.byteLen == 0 {
 		zr.done = true
 		return zr.gr.trailer(zr.decoded)
+	}
+	if zr.jumped {
+		zr.jumped = false
+		if err := checkIndexedEntry(h, zr.gr.seq-1); err != nil {
+			return err
+		}
 	}
 	// Block bodies are transient — every downstream consumer copies
 	// what it keeps (parseTailBlock's slice is appended to out,
@@ -1233,6 +1249,21 @@ func parseGroupHeader(hdr []byte, version uint8, nextSeq *uint32) (groupHeader, 
 		return h, fmt.Errorf("%w: block of %d bytes", ErrCorrupt, h.byteLen)
 	}
 	return h, nil
+}
+
+// checkIndexedEntry holds a group entered from the index — decoded
+// against a freshly reset dictionary because the footer lists it as a
+// checkpoint — to its in-band flag. The footer's CRC proves only that
+// the footer is intact, not that it is honest: an unflagged group was
+// encoded against the running dictionary, so entering it cold would
+// decode without error to bytes the serial walk never produces. A raw
+// tail uses no dictionary, and group 0 is decoded from an empty one on
+// every path whatever its flag says.
+func checkIndexedEntry(h groupHeader, group uint32) error {
+	if group == 0 || h.flags&groupFlagCheckpoint != 0 || h.bitWord&tailBlockFlag != 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: index lists group %d as a checkpoint, but its header does not flag one", ErrCorrupt, group)
 }
 
 // classifyGroup applies the shared accept rules for a group body in

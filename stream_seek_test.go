@@ -393,6 +393,86 @@ func TestIndexedFooterCorruption(t *testing.T) {
 	}
 }
 
+// forgedCheckpointStream builds a two-group indexed container — chunks
+// A B, a Flush, then C A, under one checkpoint — and re-emits its
+// footer, CRC and all, listing the second group as a checkpoint too.
+// That group's header carries no checkpoint flag: its records were
+// encoded against the dictionary A and B left behind, and a decoder
+// entering it cold gives C the identifier A holds in the true timeline.
+func forgedCheckpointStream(t testing.TB) (comp, plain []byte) {
+	t.Helper()
+	chunks := make([]byte, 3*32)
+	newTestRand(41).Read(chunks)
+	a, b, c := chunks[:32], chunks[32:64], chunks[64:]
+	var buf bytes.Buffer
+	zw, err := NewWriter(&buf, WithIndex(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(a)
+	zw.Write(b)
+	if err := zw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(c)
+	zw.Write(a)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	comp = buf.Bytes()
+	footerStart := len(comp) - int(binary.LittleEndian.Uint32(comp[len(comp)-8:]))
+	ix, err := parseIndexFooter(comp[footerStart:], uint64(footerStart))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.groups) != 2 || len(ix.checkpoints) != 1 {
+		t.Fatalf("writer emitted %d groups, %d checkpoints; want 2 and 1", len(ix.groups), len(ix.checkpoints))
+	}
+	ix.checkpoints = []uint32{0, 1}
+	return ix.appendFooter(comp[:footerStart:footerStart]), bytes.Join([][]byte{a, b, c, a}, nil)
+}
+
+// TestForgedCheckpointRejected: a CRC-valid footer that lists an
+// unflagged group as a checkpoint must not steer the index-driven
+// paths into that group with a fresh dictionary — they used to return
+// a nil error and bytes the serial decode never produces. The walks
+// that follow the in-band flags do not consult the checkpoint list and
+// keep decoding the stream.
+func TestForgedCheckpointRejected(t *testing.T) {
+	forged, plain := forgedCheckpointStream(t)
+
+	serial, err := DecompressBytes(forged)
+	if err != nil || !bytes.Equal(serial, plain) {
+		t.Fatalf("serial decode: err = %v, %d bytes; want the %d written", err, len(serial), len(plain))
+	}
+	if !differentialLanes(t, forged) {
+		t.Fatal("the streaming lanes rejected a stream they decode by its in-band flags")
+	}
+
+	sk, err := NewReader(bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sk.Seek(64, io.SeekStart); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Seek(64) err = %v, want ErrCorrupt", err)
+	}
+	ra, err := NewReader(bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 64)
+	if n, err := ra.ReadAt(p, 64); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadAt(p, 64) = %d, %v (read %x, written %x), want ErrCorrupt", n, err, p[:n], plain[64:])
+	}
+	fan, err := NewReader(nil, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := fan.DecodeAll(forged, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("fan-out DecodeAll err = %v (equal to the serial decode: %v), want ErrCorrupt", err, bytes.Equal(out, plain))
+	}
+}
+
 // TestIndexedLanesFromPipe pins the lane rule itself: a single-shard
 // indexed stream read from a source that can neither Seek nor ReadAt is
 // decoded on several lanes, to the serial Reader's bytes and Stats.
@@ -705,6 +785,8 @@ func FuzzDecodeIndexed(f *testing.F) {
 	for _, seed := range laneSeeds(f) {
 		f.Add(seed.comp)
 	}
+	forged, _ := forgedCheckpointStream(f)
+	f.Add(forged) // footer lists an unflagged group as a checkpoint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Streaming is one engine under two schedules: exact agreement.
