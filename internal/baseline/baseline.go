@@ -143,19 +143,19 @@ func DedupSize(t *trace.Trace, cfg DedupConfig) (DedupResult, error) {
 	dict := gd.NewDictionary(cfg.IDBits)
 	res := DedupResult{Records: t.Records(), DictionaryCap: dict.Capacity()}
 	seen := make(map[string]struct{})
+	var s gd.Split // one basis buffer for the whole walk; Insert clones
 	for i := 0; i < t.Records(); i++ {
 		rec := t.Record(i)
 		var key *bitvec.Vector
 		if cfg.Codec == nil {
 			key = bitvec.FromBytes(rec, len(rec)*8)
 		} else {
-			s, err := cfg.Codec.SplitChunk(rec)
-			if err != nil {
+			if err := cfg.Codec.SplitChunkInto(rec, &s); err != nil {
 				return res, err
 			}
 			key = s.Basis
 		}
-		seen[key.Key()] = struct{}{}
+		seen[string(key.Bytes())] = struct{}{}
 		if _, hit := dict.Lookup(key); hit {
 			res.HitRecords++
 			res.OutputBytes += cfg.HitBytes

@@ -44,11 +44,8 @@ func FromBytes(data []byte, n int) *Vector {
 // position n-1 are ignored.
 func FromUint(x uint64, n int) *Vector {
 	v := New(n)
-	for i := 0; i < n && i < 64; i++ {
-		if x>>uint(i)&1 == 1 {
-			v.Set(n-1-i, true)
-		}
-	}
+	w := min(n, 64)
+	PutUint(v.data, n-w, x, w)
 	return v
 }
 
@@ -213,14 +210,7 @@ func (v *Vector) Uint() uint64 {
 	if v.n > 64 {
 		panic(fmt.Sprintf("bitvec: %d bits do not fit in uint64", v.n))
 	}
-	var x uint64
-	for i := 0; i < v.n; i++ {
-		x <<= 1
-		if v.Bit(i) {
-			x |= 1
-		}
-	}
-	return x
+	return Uint(v.data, 0, v.n)
 }
 
 // Key returns a string usable as a map key. Vectors are equal iff

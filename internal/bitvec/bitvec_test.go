@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,14 @@ func TestFromUint(t *testing.T) {
 	v = FromUint(0xFF, 3)
 	if v.Uint() != 7 {
 		t.Fatalf("Uint = %d, want 7", v.Uint())
+	}
+	// Wider than the integer: x sits right-aligned behind zeros.
+	v = FromUint(1<<63|0b11, 70)
+	if got, want := v.String(), "0000001"+strings.Repeat("0", 61)+"11"; got != want {
+		t.Fatalf("FromUint = %s, want %s", got, want)
+	}
+	if FromUint(9, 0).Len() != 0 {
+		t.Fatal("FromUint(_, 0) is not empty")
 	}
 }
 

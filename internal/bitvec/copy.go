@@ -100,6 +100,59 @@ func extractBits(src []byte, off, w int) byte {
 	return byte(v >> (16 - uint(w)))
 }
 
+// Uint returns the n (≤ 64) bits of src starting at bit off, MSB
+// first, right-aligned in the result. A field of up to 57 bits with
+// eight bytes under its first one is a single shifted 64-bit load.
+//
+//zipline:noalloc
+func Uint(src []byte, off, n int) uint64 {
+	if si := off >> 3; n <= 57 && si+8 <= len(src) {
+		return binary.BigEndian.Uint64(src[si:]) << uint(off&7) >> uint(64-n)
+	}
+	return uintSlow(src, off, n)
+}
+
+// uintSlow is Uint for the cases one load cannot serve: a field wider
+// than the 57 bits a window guarantees at any alignment is read as two
+// fields, and in the last bytes of src the window is assembled from
+// the bytes the field covers and no others.
+func uintSlow(src []byte, off, n int) uint64 {
+	if n > 57 {
+		return Uint(src, off, n-32)<<32 | Uint(src, off+n-32, 32)
+	}
+	var w uint64
+	si := off >> 3
+	for i, end := si, (off+n+7)>>3; i < end; i++ {
+		w |= uint64(src[i]) << uint(56-8*(i-si))
+	}
+	return w << uint(off&7) >> uint(64-n)
+}
+
+// PutUint deposits the low n (≤ 64) bits of v into dst starting at
+// bit off, MSB first, leaving every other bit of dst untouched: the
+// store that mirrors Uint's load, split the same way.
+//
+//zipline:noalloc
+func PutUint(dst []byte, off int, v uint64, n int) {
+	if n > 57 {
+		PutUint(dst, off, v>>32, n-32)
+		off, n = off+n-32, 32
+	}
+	// The field as it sits in the 64-bit window that starts at its
+	// first byte, and the window bits it owns.
+	di, sh := off>>3, uint(off&7)
+	mask := ^uint64(0) << uint(64-n) >> sh
+	w := v << uint(64-n) >> sh
+	if di+8 <= len(dst) {
+		binary.BigEndian.PutUint64(dst[di:], binary.BigEndian.Uint64(dst[di:])&^mask|w)
+		return
+	}
+	for i, end := di, (off+n+7)>>3; i < end; i++ {
+		s := uint(56 - 8*(i-di))
+		dst[i] = dst[i]&^byte(mask>>s) | byte(w>>s)
+	}
+}
+
 // Wrap builds an n-bit vector that takes ownership of data (no copy).
 // The caller must not reuse data afterwards, and data must be exactly
 // ceil(n/8) bytes with any trailing pad bits already zero. It exists

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -72,6 +73,59 @@ func TestCopyBitsPanics(t *testing.T) {
 	}
 }
 
+// putUintSlow and uintSlowRef are the per-bit loops PutUint and Uint
+// replaced, kept as their reference.
+func putUintSlow(dst []byte, off int, v uint64, n int) {
+	for i := 0; i < n; i++ {
+		mask := byte(1) << (7 - uint((off+i)&7))
+		if v>>uint(n-1-i)&1 == 1 {
+			dst[(off+i)>>3] |= mask
+		} else {
+			dst[(off+i)>>3] &^= mask
+		}
+	}
+}
+
+func uintSlowRef(src []byte, off, n int) uint64 {
+	var x uint64
+	for i := 0; i < n; i++ {
+		x = x<<1 | uint64(src[(off+i)>>3]>>(7-uint((off+i)&7))&1)
+	}
+	return x
+}
+
+// TestUintPutUintMatchReference covers every start alignment, every
+// width and every distance from the field's end to the end of the
+// buffer that selects a different load/store shape (one window, two
+// windows, the byte loop over the last bytes), over both backgrounds.
+func TestUintPutUintMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, fill := range []byte{0xFF, 0x00} {
+		for lead := 0; lead <= 1; lead++ {
+			for align := 0; align < 8; align++ {
+				for n := 0; n <= 64; n++ {
+					for dist := 0; dist <= 9; dist++ {
+						off := lead*8 + align
+						got := bytes.Repeat([]byte{fill}, (off+n+7)/8+dist)
+						want := bytes.Clone(got)
+						// Bits of v above the field must be ignored.
+						v := rng.Uint64()
+						PutUint(got, off, v, n)
+						putUintSlow(want, off, v, n)
+						if !bytes.Equal(got, want) {
+							t.Fatalf("fill %02x off %d n %d dist %d: PutUint %x, reference %x", fill, off, n, dist, got, want)
+						}
+						x := Uint(got, off, n)
+						if ref := uintSlowRef(want, off, n); x != ref || (n < 64 && x != v&(1<<uint(n)-1)) {
+							t.Fatalf("fill %02x off %d n %d dist %d: Uint %x, reference %x, stored %x", fill, off, n, dist, x, ref, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWrap(t *testing.T) {
 	buf := []byte{0xAB, 0xFF}
 	v := Wrap(buf, 12)
@@ -99,3 +153,32 @@ func BenchmarkCopyBitsUnaligned(b *testing.B) {
 		CopyBits(dst, 0, src, 9, 247)
 	}
 }
+
+// BenchmarkFieldIO packs and reads back the stream's hit record — the
+// 1/8/1/15-bit fields of encodeChunk at m = 8, idBits = 15 — through
+// the two field primitives, 64 records to a buffer.
+func BenchmarkFieldIO(b *testing.B) {
+	widths := [4]int{1, 8, 1, 15}
+	buf := make([]byte, 64*25/8)
+	var sum uint64
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		off := 0
+		for rec := 0; rec < 64; rec++ {
+			for _, n := range widths {
+				PutUint(buf, off, uint64(i+rec), n)
+				off += n
+			}
+		}
+		off = 0
+		for rec := 0; rec < 64; rec++ {
+			for _, n := range widths {
+				sum += Uint(buf, off, n)
+				off += n
+			}
+		}
+	}
+	sinkUint = sum
+}
+
+var sinkUint uint64

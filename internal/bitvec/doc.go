@@ -11,4 +11,11 @@
 // wire). The coding packages translate between positional indexing
 // and polynomial coefficient indexing (where bit j is the coefficient
 // of x^j and the highest-degree coefficient is transmitted first).
+//
+// Three functions move bits, all a machine word at a time: CopyBits
+// for a run of any length, Uint and PutUint for a field of up to 64
+// bits. Writer and Reader are cursors over them — a position, a bounds
+// check and, for Writer, buffer growth — and Vector's Slice and Concat
+// are CopyBits calls. Only WriteBit and ReadBit touch a single bit,
+// because a single bit is what they are asked for.
 package bitvec

@@ -40,49 +40,23 @@ func (w *Writer) WriteUint(x uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("bitvec: WriteUint width %d out of range", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(x>>uint(i)&1 == 1)
-	}
+	w.grow(n)
+	PutUint(w.buf, w.nbit, x, n)
+	w.nbit += n
 }
 
 // WriteVector appends every bit of v.
 func (w *Writer) WriteVector(v *Vector) {
-	// Fast path when the writer is byte aligned.
-	if w.nbit&7 == 0 {
-		w.buf = append(w.buf, v.data...)
-		w.nbit += v.n
-		w.clearTail()
-		return
-	}
-	need := (w.nbit + v.n + 7) / 8
-	for len(w.buf) < need {
-		w.buf = append(w.buf, 0)
-	}
+	w.grow(v.n)
 	CopyBits(w.buf, w.nbit, v.data, 0, v.n)
 	w.nbit += v.n
 }
 
-// WriteBytes appends whole bytes (8 bits each).
-func (w *Writer) WriteBytes(p []byte) {
-	if w.nbit&7 == 0 {
-		w.buf = append(w.buf, p...)
-		w.nbit += 8 * len(p)
-		return
+// grow extends the buffer with zero bytes until it holds n more bits.
+func (w *Writer) grow(n int) {
+	if need := (w.nbit + n + 7) >> 3; need > len(w.buf) {
+		w.buf = append(w.buf, make([]byte, need-len(w.buf))...)
 	}
-	for _, b := range p {
-		w.WriteUint(uint64(b), 8)
-	}
-}
-
-// Pad appends zero bits until the stream is byte aligned, returning
-// the number of padding bits added. Mirrors the byte-alignment
-// padding the Tofino compiler forces onto non-aligned headers.
-func (w *Writer) Pad() int {
-	n := (8 - w.nbit&7) & 7
-	for i := 0; i < n; i++ {
-		w.WriteBit(false)
-	}
-	return n
 }
 
 // Len returns the number of bits written so far.
@@ -96,12 +70,6 @@ func (w *Writer) Bytes() []byte { return w.buf }
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.nbit = 0
-}
-
-func (w *Writer) clearTail() {
-	if r := w.nbit & 7; r != 0 && len(w.buf) > 0 {
-		w.buf[len(w.buf)-1] &= byte(0xFF) << (8 - uint(r))
-	}
 }
 
 // Reader consumes bits MSB-first from a byte slice. It is the parsing
@@ -149,9 +117,7 @@ func (r *Reader) ReadBit() (bool, error) {
 }
 
 // ReadUint consumes n bits and returns them as an unsigned integer,
-// first bit read being the most significant. Reads of up to 57 bits
-// resolve through a single shifted 64-bit window — the record-decode
-// hot path never loops per bit.
+// first bit read being the most significant.
 //
 //zipline:noalloc
 func (r *Reader) ReadUint(n int) (uint64, error) {
@@ -162,33 +128,16 @@ func (r *Reader) ReadUint(n int) (uint64, error) {
 	if r.pos+n > r.n {
 		return 0, ErrShortBuffer
 	}
-	if n == 0 {
-		return 0, nil
-	}
-	si := r.pos >> 3
-	if n <= 57 {
-		// After discarding the pos&7 already-consumed bits, the window
-		// still holds 64-7 = 57 valid bits.
-		var w uint64
-		if si+8 <= len(r.data) {
-			w = binary.BigEndian.Uint64(r.data[si:])
-		} else {
-			for j := 0; si+j < len(r.data); j++ {
-				w |= uint64(r.data[si+j]) << uint(56-8*j)
-			}
-		}
-		w <<= uint(r.pos & 7)
-		r.pos += n
-		return w >> uint(64-n), nil
-	}
+	// Uint's one-load case is repeated here: Uint is over the inliner's
+	// budget, and a second call per field takes the record-decode loop
+	// (three fields a record) from 12 to 15 ns a record.
 	var x uint64
-	for i := 0; i < n; i++ {
-		x <<= 1
-		if r.data[r.pos>>3]>>(7-uint(r.pos&7))&1 == 1 {
-			x |= 1
-		}
-		r.pos++
+	if si := r.pos >> 3; n <= 57 && si+8 <= len(r.data) {
+		x = binary.BigEndian.Uint64(r.data[si:]) << uint(r.pos&7) >> uint(64-n)
+	} else {
+		x = uintSlow(r.data, r.pos, n)
 	}
+	r.pos += n
 	return x, nil
 }
 
@@ -198,16 +147,8 @@ func (r *Reader) ReadVector(n int) (*Vector, error) {
 		return nil, ErrShortBuffer
 	}
 	out := New(n)
-	if r.pos&7 == 0 {
-		copy(out.data, r.data[r.pos>>3:])
-		out.clearTail()
-		r.pos += n
-		return out, nil
-	}
-	for i := 0; i < n; i++ {
-		b, _ := r.ReadBit()
-		out.Set(i, b)
-	}
+	CopyBits(out.data, 0, r.data, r.pos, n)
+	r.pos += n
 	return out, nil
 }
 

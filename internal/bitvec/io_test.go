@@ -129,12 +129,12 @@ func TestWriterReaderRoundTripRandom(t *testing.T) {
 				ops = append(ops, op{kind: 0, x: uint64(rng.Intn(2))})
 				w.WriteBit(ops[len(ops)-1].x == 1)
 			case 1:
-				width := 1 + rng.Intn(33)
-				x := rng.Uint64() & (1<<uint(width) - 1)
+				width := rng.Intn(65)
+				x := rng.Uint64() >> uint(64-width)
 				ops = append(ops, op{kind: 1, x: x, width: width})
 				w.WriteUint(x, width)
 			case 2:
-				nb := rng.Intn(40)
+				nb := rng.Intn(301)
 				v := New(nb)
 				for j := 0; j < nb; j++ {
 					v.Set(j, rng.Intn(2) == 1)
@@ -182,6 +182,60 @@ func TestWriterReaderRoundTripRandom(t *testing.T) {
 		}
 		if r.Remaining() != 0 {
 			t.Fatalf("trial %d: %d bits left over", trial, r.Remaining())
+		}
+	}
+}
+
+// writeBits is the per-bit reference the word-wide writers replaced:
+// the low n bits of x, one WriteBit each.
+func writeBits(w *Writer, x uint64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		w.WriteBit(x>>uint(i)&1 == 1)
+	}
+}
+
+// TestWriterReaderEveryAlignment writes a vector of every length
+// 1…300 at every start alignment, fenced by integer fields, and holds
+// the packed bytes to a WriteBit-only reference before reading the
+// three fields back.
+func TestWriterReaderEveryAlignment(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for align := 0; align < 8; align++ {
+		for nb := 1; nb <= 300; nb++ {
+			v := New(nb)
+			for j := 0; j < nb; j++ {
+				v.Set(j, rng.Intn(2) == 1)
+			}
+			width := nb % 65
+			x := rng.Uint64() >> uint(64-width)
+			lead := rng.Uint64() >> uint(64-align)
+
+			var w, ref Writer
+			w.WriteUint(lead, align)
+			w.WriteVector(v)
+			w.WriteUint(x, width)
+			writeBits(&ref, lead, align)
+			for j := 0; j < nb; j++ {
+				ref.WriteBit(v.Bit(j))
+			}
+			writeBits(&ref, x, width)
+			if w.Len() != ref.Len() || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+				t.Fatalf("align %d nb %d: packed %x, reference %x", align, nb, w.Bytes(), ref.Bytes())
+			}
+
+			r := NewReaderBits(w.Bytes(), w.Len())
+			if got, err := r.ReadUint(align); err != nil || got != lead {
+				t.Fatalf("align %d nb %d: lead %x != %x (%v)", align, nb, got, lead, err)
+			}
+			if got, err := r.ReadVector(nb); err != nil || !got.Equal(v) {
+				t.Fatalf("align %d nb %d: vector mismatch (%v)", align, nb, err)
+			}
+			if got, err := r.ReadUint(width); err != nil || got != x {
+				t.Fatalf("align %d nb %d: uint %x != %x (%v)", align, nb, got, x, err)
+			}
+			if r.Remaining() != 0 {
+				t.Fatalf("align %d nb %d: %d bits left over", align, nb, r.Remaining())
+			}
 		}
 	}
 }

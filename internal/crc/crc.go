@@ -93,9 +93,6 @@ func MustNew(width int, param uint32) *Engine {
 	return e
 }
 
-// Width returns the CRC width m in bits.
-func (e *Engine) Width() int { return e.width }
-
 // Param returns the generator's low bits (the Table 1 "parameter for
 // CRC-m" column value).
 func (e *Engine) Param() uint32 { return e.param }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zipline/internal/baseline"
+	"zipline/internal/gd"
 	"zipline/internal/packet"
 	"zipline/internal/scenario"
 	"zipline/internal/trace"
@@ -167,16 +168,15 @@ func fig3Static(ds *trace.Trace, cfg Figure3Config) (Figure3Case, error) {
 	seen := make(map[string]bool)
 	nextID := uint32(0)
 	capacity := uint32(1) << uint(cfg.IDBits)
+	var s gd.Split // one basis buffer for the whole walk
 	for i := 0; i < ds.Records(); i++ {
-		s, err := codec.SplitChunk(ds.Record(i))
-		if err != nil {
+		if err := codec.SplitChunkInto(ds.Record(i), &s); err != nil {
 			return Figure3Case{}, err
 		}
-		key := s.Basis.Key()
-		if seen[key] {
+		if seen[string(s.Basis.Bytes())] {
 			continue
 		}
-		seen[key] = true
+		seen[string(s.Basis.Bytes())] = true
 		if nextID >= capacity {
 			return Figure3Case{
 				Name: "Static table", NA: true,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zipline/internal/bitvec"
+	"zipline/internal/hamming"
 )
 
 // Codec packages a Transform for byte-aligned chunks. Transform word
@@ -17,7 +18,8 @@ import (
 // of the raw data packet" that ZipLine stores next to the basis.
 type Codec struct {
 	t         Transform
-	extraBits int // 0..7, at the MSB end of the chunk
+	code      *hamming.Code // set when t is *Hamming: chunks take the byte path of fastpath.go
+	extraBits int           // 0..7, at the MSB end of the chunk
 	chunkBits int
 }
 
@@ -39,7 +41,11 @@ type Split struct {
 // to the next byte boundary.
 func NewCodec(t Transform) *Codec {
 	extra := (8 - t.WordBits()&7) & 7
-	return &Codec{t: t, extraBits: extra, chunkBits: t.WordBits() + extra}
+	c := &Codec{t: t, extraBits: extra, chunkBits: t.WordBits() + extra}
+	if h, ok := t.(*Hamming); ok {
+		c.code = h.code
+	}
+	return c
 }
 
 // Transform returns the wrapped transform.
@@ -70,35 +76,49 @@ func (c *Codec) EncodedBits() int {
 
 // SplitChunk encodes one chunk of exactly ChunkBytes bytes.
 func (c *Codec) SplitChunk(chunk []byte) (Split, error) {
-	if h, ok := c.t.(*Hamming); ok {
-		return c.splitHamming(h, chunk)
+	var s Split
+	err := c.SplitChunkInto(chunk, &s)
+	return s, err
+}
+
+// checkChunk rejects a chunk of the wrong size.
+func (c *Codec) checkChunk(chunk []byte) error {
+	if len(chunk) != c.ChunkBytes() {
+		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
+		return fmt.Errorf("gd: chunk is %d bytes, codec expects %d", len(chunk), c.ChunkBytes())
 	}
-	return c.splitGeneric(chunk)
+	return nil
 }
 
 // splitGeneric encodes a chunk through the Transform interface; the
 // Hamming transform takes the vector-free path in fastpath.go instead.
-func (c *Codec) splitGeneric(chunk []byte) (Split, error) {
-	if len(chunk) != c.ChunkBytes() {
-		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
-		return Split{}, fmt.Errorf("gd: chunk is %d bytes, codec expects %d", len(chunk), c.ChunkBytes())
+func (c *Codec) splitGeneric(chunk []byte, s *Split) error {
+	if err := c.checkChunk(chunk); err != nil {
+		return err
 	}
-	var extra uint8
 	word := bitvec.FromBytes(chunk, c.chunkBits)
 	if c.extraBits > 0 {
-		extra = uint8(word.Slice(0, c.extraBits).Uint())
 		word = word.Slice(c.extraBits, c.t.WordBits())
 	}
 	basis, dev := c.t.Split(word)
-	return Split{Basis: basis, Deviation: dev, Extra: extra}, nil
+	*s = Split{Basis: basis, Deviation: dev, Extra: uint8(bitvec.Uint(chunk, 0, c.extraBits))}
+	return nil
 }
 
 // MergeChunk reconstructs the original chunk, appending it to dst and
 // returning the extended slice.
 func (c *Codec) MergeChunk(s Split, dst []byte) ([]byte, error) {
-	if h, ok := c.t.(*Hamming); ok {
-		return c.mergeHamming(h, s, dst)
+	if c.code == nil {
+		return c.mergeGeneric(s, dst)
 	}
+	if s.Basis.Len() != c.code.K() {
+		return dst, fmt.Errorf("gd: basis length %d != k=%d", s.Basis.Len(), c.code.K())
+	}
+	return c.mergeHammingBytes(s.Basis.Bytes(), s.Deviation, s.Extra, dst)
+}
+
+// mergeGeneric is splitGeneric's inverse.
+func (c *Codec) mergeGeneric(s Split, dst []byte) ([]byte, error) {
 	word, err := c.t.Merge(s.Basis, s.Deviation)
 	if err != nil {
 		return dst, err

@@ -17,6 +17,10 @@ import (
 // stream compressor and by workload analysis; the switch tables in
 // zipline/internal/zswitch enforce the same policy through the
 // simulated control plane. Not safe for concurrent use.
+//
+// A dictionary serves one codec, so every basis it sees has the same
+// bit length and the basis bytes alone are the map key — the key
+// zswitch.BasisKey and the root package's Dict use too.
 type Dictionary struct {
 	idBits   int
 	capacity int
@@ -25,7 +29,6 @@ type Dictionary struct {
 	order    *list.List               // front = most recently used
 	freed    []uint32                 // ids returned by Remove, LIFO
 	next     uint32                   // first never-allocated id
-	keyBuf   []byte                   // scratch for allocation-free lookups
 
 	// frozen is an optional immutable prefix shared read-only with any
 	// number of other dictionaries (the pre-trained basis dictionary of
@@ -51,11 +54,10 @@ type Frozen struct {
 func NewFrozen(bases []*bitvec.Vector) *Frozen {
 	f := &Frozen{byKey: make(map[string]uint32, len(bases))}
 	for _, b := range bases {
-		k := b.Key()
-		if _, dup := f.byKey[k]; dup {
+		if _, dup := f.byKey[string(b.Bytes())]; dup {
 			continue
 		}
-		f.byKey[k] = uint32(len(f.bases))
+		f.byKey[string(b.Bytes())] = uint32(len(f.bases))
 		f.bases = append(f.bases, b.Clone())
 	}
 	return f
@@ -112,7 +114,7 @@ func NewDictionaryFrozen(idBits int, frozen *Frozen) *Dictionary {
 }
 
 // Reset drops every dynamic mapping while keeping the frozen prefix
-// and all allocated storage (map buckets, id table, key scratch), so a
+// and all allocated storage (map buckets, id table), so a
 // pooled encoder can re-serve a new stream without allocating.
 //
 //zipline:noalloc
@@ -139,16 +141,6 @@ func (d *Dictionary) Capacity() int { return d.capacity }
 // Len returns the number of bases currently mapped.
 func (d *Dictionary) Len() int { return d.order.Len() }
 
-// fillKeyBuf assembles the basis's map key (the same bytes as
-// bitvec's Key: a 2-byte length prefix plus the backing store) in the
-// dictionary's scratch buffer. Indexing the map with string(d.keyBuf)
-// directly lets the compiler skip the string allocation, keeping the
-// hot hit path allocation-free.
-func (d *Dictionary) fillKeyBuf(basis *bitvec.Vector) {
-	d.keyBuf = append(d.keyBuf[:0], byte(basis.Len()>>8), byte(basis.Len()))
-	d.keyBuf = append(d.keyBuf, basis.Bytes()...)
-}
-
 // Lookup returns the identifier for a basis if present, refreshing
 // its recency (a data-plane hit resets the TNA idle timer). Frozen
 // entries hit without a recency update — they are never evicted, so
@@ -156,13 +148,12 @@ func (d *Dictionary) fillKeyBuf(basis *bitvec.Vector) {
 //
 //zipline:noalloc
 func (d *Dictionary) Lookup(basis *bitvec.Vector) (uint32, bool) {
-	d.fillKeyBuf(basis)
 	if d.frozen != nil {
-		if id, ok := d.frozen.byKey[string(d.keyBuf)]; ok {
+		if id, ok := d.frozen.byKey[string(basis.Bytes())]; ok {
 			return id, true
 		}
 	}
-	el, ok := d.byKey[string(d.keyBuf)]
+	el, ok := d.byKey[string(basis.Bytes())]
 	if !ok {
 		return 0, false
 	}
@@ -207,18 +198,11 @@ func (d *Dictionary) LookupIDTouch(id uint32) (*bitvec.Vector, bool) {
 // mapping had to be recycled, the evicted basis. Inserting a basis
 // that is already present just refreshes it.
 func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Vector) {
-	d.fillKeyBuf(basis)
-	if d.frozen != nil {
-		// A frozen basis is already permanently mapped.
-		if fid, ok := d.frozen.byKey[string(d.keyBuf)]; ok {
-			return fid, nil
-		}
+	// Present already, frozen (permanently mapped) or dynamic (refreshed).
+	if id, ok := d.Lookup(basis); ok {
+		return id, nil
 	}
-	if el, ok := d.byKey[string(d.keyBuf)]; ok {
-		d.order.MoveToFront(el)
-		return el.Value.(*dictEntry).id, nil
-	}
-	key := string(d.keyBuf)
+	key := string(basis.Bytes())
 	switch {
 	case len(d.freed) > 0:
 		id = d.freed[len(d.freed)-1]
@@ -249,8 +233,7 @@ func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Ve
 // Remove drops the mapping for a basis, returning its id to the free
 // pool. It reports whether the basis was present.
 func (d *Dictionary) Remove(basis *bitvec.Vector) bool {
-	d.fillKeyBuf(basis)
-	el, ok := d.byKey[string(d.keyBuf)]
+	el, ok := d.byKey[string(basis.Bytes())]
 	if !ok {
 		return false
 	}

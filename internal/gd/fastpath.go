@@ -8,10 +8,10 @@ import (
 	"zipline/internal/bitvec"
 )
 
-// Fast paths for the Hamming transform operating directly on chunk
-// bytes. These avoid per-bit vector surgery on the hot encode and
-// decode paths; correctness is pinned to the generic implementation
-// by property tests in codec_fast_test.go.
+// The Hamming transform's path over chunk bytes: no bit vector is built
+// and nothing moves a bit at a time on the hot encode and decode paths;
+// correctness is pinned to the generic implementation by the property
+// tests in fastpath_test.go.
 //
 // The key identity: a chunk is extra·x^n ⊕ B(x) as a 2^m-bit
 // polynomial, and x^n ≡ 1 (mod g), so
@@ -22,19 +22,12 @@ import (
 // in one table-driven pass — exactly what ZipLine's P4 program does
 // with the Tofino CRC extern over the full payload container.
 //
-// Each operation comes in three shapes: the allocating SplitChunk /
-// MergeChunk used by one-shot callers, the scratch-reusing
-// SplitChunkInto used by the stream encoders, and the raw-byte
-// SplitChunkBytes / MergeChunkBytes that never touch a bit vector at
-// all — the allocation-free hot path of the public Codec.
-
-// splitHamming encodes one chunk for a Hamming transform without
-// intermediate bit vectors.
-func (c *Codec) splitHamming(h *Hamming, chunk []byte) (Split, error) {
-	var s Split
-	err := c.splitHammingInto(h, chunk, &s)
-	return s, err
-}
+// Each direction has one body, splitHamming and mergeHammingBytes.
+// The exported shapes differ only in who owns the basis storage:
+// SplitChunkInto hands splitHamming the bytes under the caller's
+// Split.Basis (the stream encoders), SplitChunkBytes a raw scratch
+// slice (the switch and the public Codec), and SplitChunk / MergeChunk
+// in codec.go are wrappers for one-shot callers.
 
 // SplitChunkInto is SplitChunk writing into a caller-owned Split,
 // reusing s.Basis's storage when it has capacity. Repeated calls with
@@ -45,43 +38,18 @@ func (c *Codec) splitHamming(h *Hamming, chunk []byte) (Split, error) {
 //
 //zipline:noalloc
 func (c *Codec) SplitChunkInto(chunk []byte, s *Split) error {
-	if h, ok := c.t.(*Hamming); ok {
-		return c.splitHammingInto(h, chunk, s)
+	if c.code == nil {
+		return c.splitGeneric(chunk, s)
 	}
-	out, err := c.splitGeneric(chunk)
-	if err != nil {
+	if err := c.checkChunk(chunk); err != nil {
 		return err
 	}
-	*s = out
-	return nil
-}
-
-func (c *Codec) splitHammingInto(h *Hamming, chunk []byte, s *Split) error {
-	if len(chunk) != c.ChunkBytes() {
-		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
-		return fmt.Errorf("gd: chunk is %d bytes, codec expects %d", len(chunk), c.ChunkBytes())
-	}
-	code := h.code
-	extra := chunk[0] >> 7
-	syn := code.Engine().Remainder(chunk, c.chunkBits) ^ uint32(extra)
 	if s.Basis == nil {
-		s.Basis = bitvec.New(code.K())
+		s.Basis = bitvec.New(c.code.K())
 	} else {
-		s.Basis.Reset(code.K())
+		s.Basis.Reset(c.code.K())
 	}
-	basisBuf := s.Basis.Bytes()
-	// Extract the basis (word positions m..n-1, i.e. chunk bit
-	// offset 1+m), then flip the syndrome-indicated bit if it landed
-	// inside the basis range; flips in the parity range vanish with
-	// the truncation.
-	bitvec.CopyBits(basisBuf, 0, chunk, 1+code.M(), code.K())
-	if pos := code.ErrorPosition(syn); pos >= 0 {
-		if rel := pos - code.M(); rel >= 0 {
-			basisBuf[rel>>3] ^= 1 << (7 - uint(rel&7))
-		}
-	}
-	s.Deviation = syn
-	s.Extra = extra
+	s.Deviation, s.Extra = c.splitHamming(chunk, s.Basis.Bytes())
 	return nil
 }
 
@@ -92,46 +60,41 @@ func (c *Codec) splitHammingInto(h *Hamming, chunk []byte, s *Split) error {
 //
 //zipline:noalloc
 func (c *Codec) SplitChunkBytes(chunk, basis []byte) (basisOut []byte, deviation uint32, extra uint8, err error) {
-	h, ok := c.t.(*Hamming)
-	if !ok {
-		s, err := c.splitGeneric(chunk)
-		if err != nil {
+	if c.code == nil {
+		var s Split
+		if err := c.splitGeneric(chunk, &s); err != nil {
 			return basis, 0, 0, err
 		}
 		return append(basis[:0], s.Basis.Bytes()...), s.Deviation, s.Extra, nil
 	}
-	if len(chunk) != c.ChunkBytes() {
-		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
-		return basis, 0, 0, fmt.Errorf("gd: chunk is %d bytes, codec expects %d", len(chunk), c.ChunkBytes())
+	if err := c.checkChunk(chunk); err != nil {
+		return basis, 0, 0, err
 	}
-	code := h.code
-	ex := chunk[0] >> 7
-	syn := code.Engine().Remainder(chunk, c.chunkBits) ^ uint32(ex)
-	nb := (code.K() + 7) / 8
-	if cap(basis) >= nb {
-		basis = basis[:nb]
-		clear(basis)
-	} else {
-		//ziplint:allow noalloc grow-to-fit when caller scratch is short; reused scratch never reallocates
-		basis = make([]byte, nb)
-	}
+	nb := (c.code.K() + 7) / 8
+	basis = slices.Grow(basis[:0], nb)[:nb]
+	clear(basis)
+	deviation, extra = c.splitHamming(chunk, basis)
+	return basis, deviation, extra, nil
+}
+
+// splitHamming encodes one chunk of ChunkBytes bytes into basis, which
+// must be ceil(k/8) zeroed bytes, and returns the syndrome and the
+// carried MSB.
+func (c *Codec) splitHamming(chunk, basis []byte) (syn uint32, extra uint8) {
+	code := c.code
+	extra = chunk[0] >> 7
+	syn = code.Engine().Remainder(chunk, c.chunkBits) ^ uint32(extra)
+	// Extract the basis (word positions m..n-1, i.e. chunk bit
+	// offset 1+m), then flip the syndrome-indicated bit if it landed
+	// inside the basis range; flips in the parity range vanish with
+	// the truncation.
 	bitvec.CopyBits(basis, 0, chunk, 1+code.M(), code.K())
 	if pos := code.ErrorPosition(syn); pos >= 0 {
 		if rel := pos - code.M(); rel >= 0 {
 			basis[rel>>3] ^= 1 << (7 - uint(rel&7))
 		}
 	}
-	return basis, syn, ex, nil
-}
-
-// mergeHamming reconstructs one chunk for a Hamming transform without
-// intermediate bit vectors, appending to dst.
-func (c *Codec) mergeHamming(h *Hamming, s Split, dst []byte) ([]byte, error) {
-	if s.Basis.Len() != h.code.K() {
-		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
-		return dst, fmt.Errorf("gd: basis length %d != k=%d", s.Basis.Len(), h.code.K())
-	}
-	return c.mergeHammingBytes(h, s.Basis.Bytes(), s.Deviation, s.Extra, dst)
+	return syn, extra
 }
 
 // MergeChunkBytes is MergeChunk on a raw basis buffer: basis must be
@@ -145,19 +108,20 @@ func (c *Codec) MergeChunkBytes(basis []byte, deviation uint32, extra uint8, dst
 		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
 		return dst, fmt.Errorf("gd: basis is %d bytes, want %d", len(basis), (c.t.BasisBits()+7)/8)
 	}
-	h, ok := c.t.(*Hamming)
-	if !ok {
-		return c.MergeChunk(Split{
+	if c.code == nil {
+		return c.mergeGeneric(Split{
 			Basis:     bitvec.FromBytes(basis, c.t.BasisBits()),
 			Deviation: deviation,
 			Extra:     extra,
 		}, dst)
 	}
-	return c.mergeHammingBytes(h, basis, deviation, extra, dst)
+	return c.mergeHammingBytes(basis, deviation, extra, dst)
 }
 
-func (c *Codec) mergeHammingBytes(h *Hamming, basis []byte, deviation uint32, extra uint8, dst []byte) ([]byte, error) {
-	code := h.code
+// mergeHammingBytes rebuilds one chunk in dst's grown tail from a
+// basis of ceil(k/8) bytes.
+func (c *Codec) mergeHammingBytes(basis []byte, deviation uint32, extra uint8, dst []byte) ([]byte, error) {
+	code := c.code
 	if deviation >= 1<<uint(code.M()) {
 		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
 		return dst, fmt.Errorf("gd: deviation %#x wider than m=%d bits", deviation, code.M())
@@ -187,17 +151,9 @@ func (c *Codec) mergeHammingBytes(h *Hamming, basis []byte, deviation uint32, ex
 		binary.BigEndian.PutUint64(chunk[16:24], u1<<55|u2>>9)
 		binary.BigEndian.PutUint64(chunk[24:32], u2<<55|u3>>9)
 	} else {
+		// extra and the m parity bits lead the chunk, the basis follows.
 		clear(chunk)
-		if extra == 1 {
-			chunk[0] = 0x80
-		}
-		// Deposit the m parity bits at chunk bit offset 1.
-		var ptmp [4]byte
-		v := p << uint(32-code.M())
-		ptmp[0] = byte(v >> 24)
-		ptmp[1] = byte(v >> 16)
-		bitvec.CopyBits(chunk, 1, ptmp[:], 0, code.M())
-		// Deposit the basis at offset 1+m.
+		bitvec.PutUint(chunk, 0, uint64(extra)<<uint(code.M())|uint64(p), 1+code.M())
 		bitvec.CopyBits(chunk, 1+code.M(), basis, 0, code.K())
 	}
 	// Re-introduce the deviation bit.

@@ -116,13 +116,6 @@ type exportImporter struct {
 	paths map[string]string
 }
 
-// NewExportImporter returns an importer resolving import paths through
-// export data files (as produced by `go list -export` or handed to a
-// vet tool via its config's PackageFile map).
-func NewExportImporter(fset *token.FileSet, paths map[string]string) types.ImporterFrom {
-	return newExportImporter(fset, paths)
-}
-
 func newExportImporter(fset *token.FileSet, paths map[string]string) *exportImporter {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := paths[path]

@@ -96,9 +96,6 @@ func (h *Host) resetRxMarks() {
 // Config returns the host configuration with defaults applied.
 func (h *Host) Config() HostConfig { return h.cfg }
 
-// NIC exposes the host's link endpoint (for TX statistics).
-func (h *Host) NIC() *Endpoint { return h.nic }
-
 // Rx returns a snapshot of receive statistics.
 func (h *Host) Rx() RxStats { return h.rx }
 

@@ -135,9 +135,6 @@ func NewLink(sim *Sim, cfg LinkConfig, nameA, nameB string) (*Endpoint, *Endpoin
 // fully arrives at this endpoint.
 func (e *Endpoint) SetReceiver(fn func(frame []byte, at Time)) { e.recv = fn }
 
-// Rate returns the link rate in bits per second.
-func (e *Endpoint) Rate() int64 { return e.cfg.RateBps }
-
 // SetDown flaps this transmit direction: while down, offered frames
 // are dropped (carrier loss). Fault-schedule API; flap both endpoints
 // to take a full-duplex link down.

@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -100,27 +99,6 @@ func appendBitsMSB(dst []byte, v uint64, nbits int) []byte {
 	return dst
 }
 
-// putBitsMSB deposits the low nbits of v into dst starting at bit
-// off, MSB first, leaving surrounding bits untouched. nbits ≤ 56.
-func putBitsMSB(dst []byte, off int, v uint64, nbits int) {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], v<<uint(64-nbits))
-	bitvec.CopyBits(dst, off, tmp[:], 0, nbits)
-}
-
-// readBitsMSB extracts nbits bits of data starting at bit off, MSB
-// first, right-aligned in the result. nbits ≤ 32 (a field may span at
-// most five bytes).
-func readBitsMSB(data []byte, off, nbits int) uint64 {
-	var v uint64
-	end := off + nbits
-	for i := off &^ 7; i < end; i += 8 {
-		v = v<<8 | uint64(data[i>>3])
-	}
-	v >>= uint((8 - end&7) & 7)
-	return v & (1<<uint(nbits) - 1)
-}
-
 // AppendType2 appends the encoded region of a type 2 payload to dst.
 func (f Format) AppendType2(dst []byte, s gd.Split) []byte {
 	return f.AppendType2Bytes(dst, s.Basis.Bytes(), s.Deviation, s.Extra)
@@ -145,7 +123,7 @@ func (f Format) AppendType2Bytes(dst []byte, basis []byte, deviation uint32, ext
 	buf := dst[base:]
 	clear(buf)
 	lead := f.m + f.extra
-	putBitsMSB(buf, 0, uint64(deviation)<<uint(f.extra)|uint64(extra), lead)
+	bitvec.PutUint(buf, 0, uint64(deviation)<<uint(f.extra)|uint64(extra), lead)
 	bitvec.CopyBits(buf, lead, basis, 0, f.k)
 	return dst
 }
@@ -179,7 +157,7 @@ func (f Format) ParseType2Bytes(payload, basisScratch []byte) (basis []byte, dev
 		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
 		return basisScratch, 0, 0, nil, fmt.Errorf("packet: type 2 payload %d bytes, need %d", len(payload), enc)
 	}
-	deviation = uint32(readBitsMSB(payload, 0, f.m))
+	deviation = uint32(bitvec.Uint(payload, 0, f.m))
 	kb := (f.k + 7) / 8
 	if f.align {
 		eOff := (f.m + 7) / 8
@@ -191,13 +169,8 @@ func (f Format) ParseType2Bytes(payload, basisScratch []byte) (basis []byte, dev
 		return payload[eOff+1 : eOff+1+kb], deviation, e, payload[enc:], nil
 	}
 	lead := f.m + f.extra
-	extra = uint8(readBitsMSB(payload, f.m, f.extra))
-	if cap(basisScratch) >= kb {
-		basis = basisScratch[:kb]
-	} else {
-		//ziplint:allow noalloc grow-to-fit when caller scratch is short; reused scratch never reallocates
-		basis = make([]byte, kb)
-	}
+	extra = uint8(bitvec.Uint(payload, f.m, f.extra))
+	basis = slices.Grow(basisScratch[:0], kb)[:kb]
 	bitvec.CopyBits(basis, 0, payload, lead, f.k)
 	if pad := kb*8 - f.k; pad > 0 {
 		basis[kb-1] &^= byte(1<<uint(pad)) - 1
@@ -238,13 +211,24 @@ func (f Format) ParseType3(payload []byte) (Compressed, []byte, error) {
 		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
 		return Compressed{}, nil, fmt.Errorf("packet: type 3 payload %d bytes, need %d", len(payload), enc)
 	}
-	var c Compressed
-	c.Deviation = uint32(readBitsMSB(payload, 0, f.m))
-	off := f.m
-	if f.align {
-		off = (f.m + 7) &^ 7
+	// The region is whole bytes, at most eight: one big-endian window,
+	// the fields shifted out of it from the right. Each byte-rounded
+	// group ends in pad bits: one after [deviation|extra|ID] when packed,
+	// one after the deviation and one after [extra|ID] when aligned.
+	var w uint64
+	for _, b := range payload[:enc] {
+		w = w<<8 | uint64(b)
 	}
-	c.Extra = uint8(readBitsMSB(payload, off, f.extra))
-	c.ID = uint32(readBitsMSB(payload, off+f.extra, f.idBits))
+	low := f.extra + f.idBits
+	pad, devPad := -(f.m+low)&7, 0
+	if f.align {
+		pad, devPad = -low&7, -f.m&7
+	}
+	w >>= uint(pad)
+	c := Compressed{
+		Deviation: uint32(w >> uint(low+devPad)),
+		Extra:     uint8(w >> uint(f.idBits) & (1<<uint(f.extra) - 1)),
+		ID:        uint32(w & (1<<uint(f.idBits) - 1)),
+	}
 	return c, payload[enc:], nil
 }

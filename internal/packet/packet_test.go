@@ -225,6 +225,81 @@ func TestSmallCodeFormats(t *testing.T) {
 	}
 }
 
+// fieldPatterns returns the values a [deviation|extra|ID] or
+// [deviation|extra] group of the given widths is tested with: all
+// ones, all zeros, alternating bits, and every single bit of the group
+// set in turn — the pattern that shows a field shifted by one.
+func fieldPatterns(m, extra, idBits int) []Compressed {
+	total := m + extra + idBits
+	groups := []uint64{1<<uint(total) - 1, 0, 0xAAAAAAAAAAAAAAAA >> uint(64-total)}
+	for i := 0; i < total; i++ {
+		groups = append(groups, 1<<uint(i))
+	}
+	out := make([]Compressed, len(groups))
+	for i, g := range groups {
+		out[i] = Compressed{
+			Deviation: uint32(g >> uint(extra+idBits)),
+			Extra:     uint8(g >> uint(idBits) & (1<<uint(extra) - 1)),
+			ID:        uint32(g & (1<<uint(idBits) - 1)),
+		}
+	}
+	return out
+}
+
+// TestFormatsAtEveryWidth round-trips both encoded regions over every
+// Hamming geometry and identifier width, in both layouts. The paper's
+// m = 8, t = 15 point has no pad bits in its type 3 region, so a parse
+// that mishandles them passes every test pinned to that point; almost
+// every other cell of this grid has some.
+func TestFormatsAtEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tail := []byte{0xA5, 0x5A}
+	for m := 3; m <= 15; m++ {
+		tr, err := gd.NewHammingM(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := gd.NewCodec(tr)
+		for _, align := range []bool{true, false} {
+			for idBits := 1; idBits <= 24; idBits++ {
+				f := MustFormat(c, idBits, align)
+				for _, in := range fieldPatterns(m, c.ExtraBits(), idBits) {
+					payload := append(f.AppendType3(nil, in), tail...)
+					if len(payload) != f.Type3Len()+len(tail) {
+						t.Fatalf("m=%d id=%d align=%v: type 3 region %d bytes, want %d", m, idBits, align, len(payload)-len(tail), f.Type3Len())
+					}
+					got, gotTail, err := f.ParseType3(payload)
+					if err != nil || got != in || !bytes.Equal(gotTail, tail) {
+						t.Fatalf("m=%d id=%d align=%v: type 3 %+v came back %+v, tail %x (%v)", m, idBits, align, in, got, gotTail, err)
+					}
+				}
+			}
+
+			f := MustFormat(c, 15, align)
+			kb := (c.BasisBits() + 7) / 8
+			basis := make([]byte, kb)
+			scratch := make([]byte, kb)
+			for _, in := range fieldPatterns(m, c.ExtraBits(), 0) {
+				rng.Read(basis)
+				basis[kb-1] &= 0xFF << uint(kb*8-c.BasisBits())
+				// Stale scratch: the packed parse must overwrite all of it.
+				for i := range scratch {
+					scratch[i] = 0xFF
+				}
+				payload := append(f.AppendType2Bytes(nil, basis, in.Deviation, in.Extra), tail...)
+				if len(payload) != f.Type2Len()+len(tail) {
+					t.Fatalf("m=%d align=%v: type 2 region %d bytes, want %d", m, align, len(payload)-len(tail), f.Type2Len())
+				}
+				gotBasis, dev, extra, gotTail, err := f.ParseType2Bytes(payload, scratch)
+				if err != nil || dev != in.Deviation || extra != in.Extra || !bytes.Equal(gotBasis, basis) || !bytes.Equal(gotTail, tail) {
+					t.Fatalf("m=%d align=%v: type 2 dev %#x extra %d came back dev %#x extra %d, basis equal %v, tail %x (%v)",
+						m, align, in.Deviation, in.Extra, dev, extra, bytes.Equal(gotBasis, basis), gotTail, err)
+				}
+			}
+		}
+	}
+}
+
 var sinkBytes []byte
 
 func BenchmarkAppendParseType2(b *testing.B) {

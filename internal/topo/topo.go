@@ -98,12 +98,3 @@ type Graph struct {
 	Switches []Switch
 	Links    []Link
 }
-
-// HostNames returns the hosts' names in global order.
-func (g *Graph) HostNames() []string {
-	names := make([]string, len(g.Hosts))
-	for i, h := range g.Hosts {
-		names[i] = h.Name
-	}
-	return names
-}

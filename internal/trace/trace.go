@@ -75,12 +75,12 @@ func (t *Trace) DistinctBases(c *gd.Codec) (int, error) {
 		return 0, fmt.Errorf("trace: record size %d != chunk size %d", t.RecordSize, c.ChunkBytes())
 	}
 	seen := make(map[string]struct{})
+	var s gd.Split // one basis buffer for the whole walk
 	for i := 0; i < t.Records(); i++ {
-		s, err := c.SplitChunk(t.Record(i))
-		if err != nil {
+		if err := c.SplitChunkInto(t.Record(i), &s); err != nil {
 			return 0, err
 		}
-		seen[s.Basis.Key()] = struct{}{}
+		seen[string(s.Basis.Bytes())] = struct{}{}
 	}
 	return len(seen), nil
 }
@@ -180,6 +180,7 @@ func Sensor(cfg SensorConfig) *Trace {
 	data := make([]byte, cfg.Records*recordSize)
 	rec := make([]byte, recordSize)
 	scratch := make([]byte, 0, recordSize)
+	var split gd.Split // snapToCodeword's basis buffer, reused by every record
 	for i := 0; i < cfg.Records; i++ {
 		id := i % cfg.Sensors
 		st := &states[id]
@@ -221,7 +222,7 @@ func Sensor(cfg SensorConfig) *Trace {
 		out := data[i*recordSize : (i+1)*recordSize]
 		copy(out, rec)
 		if cfg.SnapCodec != nil {
-			snapToCodeword(cfg.SnapCodec, out, scratch)
+			snapToCodeword(cfg.SnapCodec, out, &split, scratch)
 			if cfg.GlitchProb > 0 && rng.Float64() < cfg.GlitchProb {
 				// Transient bit-flip glitch. With snapped baselines
 				// it stays inside the baseline's correction ball: a
@@ -241,18 +242,17 @@ func Sensor(cfg SensorConfig) *Trace {
 }
 
 // snapToCodeword forces a chunk's syndrome to zero by flipping at
-// most one bit (GD-aware quantisation). scratch is a reusable buffer
-// of at least the chunk's capacity.
-func snapToCodeword(c *gd.Codec, chunk, scratch []byte) {
-	s, err := c.SplitChunk(chunk)
-	if err != nil {
+// most one bit (GD-aware quantisation). s and scratch are reusable
+// storage: a Split, and a buffer of at least the chunk's capacity.
+func snapToCodeword(c *gd.Codec, chunk []byte, s *gd.Split, scratch []byte) {
+	if err := c.SplitChunkInto(chunk, s); err != nil {
 		panic(err)
 	}
 	if s.Deviation == 0 {
 		return
 	}
 	s.Deviation = 0
-	merged, err := c.MergeChunk(s, scratch[:0])
+	merged, err := c.MergeChunk(*s, scratch[:0])
 	if err != nil {
 		panic(err)
 	}

@@ -196,6 +196,3 @@ func (s *Stats) Add(o Stats) {
 
 // Encoded reports the total packets the encoder path transformed.
 func (s Stats) Encoded() uint64 { return s.RawToType2 + s.RawToType3 }
-
-// Decoded reports the total packets the decoder path restored.
-func (s Stats) Decoded() uint64 { return s.Type2ToRaw + s.Type3ToRaw }

@@ -144,6 +144,3 @@ func (c *Codec) Merge(s Split, dst []byte) ([]byte, error) {
 	}
 	return c.inner.MergeChunkBytes(s.Basis, s.Deviation, s.Extra, dst)
 }
-
-// internalCodec hands the wrapped codec to sibling files.
-func (c *Codec) internalCodec() *gd.Codec { return c.inner }
