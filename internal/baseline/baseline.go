@@ -143,7 +143,7 @@ func DedupSize(t *trace.Trace, cfg DedupConfig) (DedupResult, error) {
 	dict := gd.NewDictionary(cfg.IDBits)
 	res := DedupResult{Records: t.Records(), DictionaryCap: dict.Capacity()}
 	seen := make(map[string]struct{})
-	var s gd.Split // one basis buffer for the whole walk; Insert clones
+	var s gd.Split // one basis buffer for the whole walk; Insert copies
 	for i := 0; i < t.Records(); i++ {
 		rec := t.Record(i)
 		var key *bitvec.Vector

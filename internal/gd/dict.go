@@ -1,11 +1,95 @@
 package gd
 
 import (
-	"container/list"
+	"bytes"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 
 	"zipline/internal/bitvec"
 )
+
+// hashSeed keys every basis hash in the process: a Frozen and the
+// dictionaries over it agree, so a Lookup hashes once for both.
+var hashSeed = maphash.MakeSeed()
+
+// entry is the per-basis record of a slab. Entries are numbered from 1;
+// 0 is "none" in the index and the sentinel of the LRU ring, whose next
+// is the most and prev the least recently used entry.
+type entry struct {
+	hash       uint64 // of the basis bytes: deletion and growth never re-hash
+	prev, next uint32 // LRU ring (unused by Frozen); next == dead once Removed
+}
+
+const dead = ^uint32(0)
+
+// slab is the storage Dictionary and Frozen share: basis bytes packed
+// at a fixed stride, one entry record each, and an open-addressed
+// index over them (linear probing, at most half full, backward-shift
+// deletion — no tombstones, so a probe ends at the first empty slot).
+type slab struct {
+	bits   int      // basis length in bits; -1 until the first basis fixes it
+	stride int      // bytes per basis
+	keys   []byte   // entry n's basis at [(n-1)*stride, n*stride)
+	ents   []entry  // ents[0] is the sentinel
+	slots  []uint32 // entry number, 0 = empty; len is a power of two
+}
+
+func newSlab(slots int) slab {
+	return slab{bits: -1, ents: make([]entry, 1, 2), slots: make([]uint32, slots)}
+}
+
+// check panics on a basis of another length than the slab's first: a
+// dictionary serves one codec, and the fixed stride depends on it.
+func (s *slab) check(basis *bitvec.Vector) {
+	if basis.Len() != s.bits {
+		if s.bits >= 0 {
+			panic(fmt.Sprintf("gd: basis of %d bits in a dictionary of %d-bit bases", basis.Len(), s.bits))
+		}
+		s.bits, s.stride = basis.Len(), len(basis.Bytes())
+	}
+}
+
+func (s *slab) key(n uint32) []byte { return s.keys[int(n-1)*s.stride : int(n)*s.stride] }
+
+// find returns the entry holding key, whose hash is h, or 0.
+func (s *slab) find(h uint64, key []byte) uint32 {
+	mask := uint32(len(s.slots) - 1)
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		n := s.slots[i]
+		if n == 0 || s.ents[n].hash == h && bytes.Equal(s.key(n), key) {
+			return n
+		}
+	}
+}
+
+// place indexes entry n, which must not be indexed already.
+func (s *slab) place(n uint32) {
+	mask := uint32(len(s.slots) - 1)
+	i := uint32(s.ents[n].hash) & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = n
+}
+
+// unplace removes entry n from the index and closes the gap: a later
+// entry of the run moves back unless its home slot lies past the hole.
+func (s *slab) unplace(n uint32) {
+	mask := uint32(len(s.slots) - 1)
+	i := uint32(s.ents[n].hash) & mask
+	for s.slots[i] != n {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		m := s.slots[j]
+		if home := uint32(s.ents[m].hash) & mask; (j-home)&mask >= (j-i)&mask {
+			s.slots[i] = m
+			i = j
+		}
+	}
+	s.slots[i] = 0
+}
 
 // Dictionary maps bases to short identifiers with LRU replacement,
 // mirroring the basis↔ID tables that ZipLine's control plane manages
@@ -18,23 +102,23 @@ import (
 // zipline/internal/zswitch enforce the same policy through the
 // simulated control plane. Not safe for concurrent use.
 //
-// A dictionary serves one codec, so every basis it sees has the same
-// bit length and the basis bytes alone are the map key — the key
-// zswitch.BasisKey and the root package's Dict use too.
+// Dynamic identifier id is entry id−base+1 of one slab (see the
+// package comment). A dictionary serves one codec, so every basis has
+// the same bit length (checked) and the basis bytes alone are the key —
+// the key zswitch.BasisKey and the root package's Dict use too.
+//
+// The vectors LookupIDTouch and Insert return are the dictionary's own
+// scratch: valid until its next mutating call (LookupIDTouch, Insert,
+// Remove, Reset).
 type Dictionary struct {
-	idBits   int
-	capacity int
-	byKey    map[string]*list.Element // basis key -> entry
-	byID     []*list.Element          // id -> entry (nil if free); grows on demand
-	order    *list.List               // front = most recently used
-	freed    []uint32                 // ids returned by Remove, LIFO
-	next     uint32                   // first never-allocated id
+	idBits int
+	slab                  // the dynamic entries
+	freed  []uint32       // entries returned by Remove, LIFO
+	out    *bitvec.Vector // the scratch behind returned vectors
 
 	// frozen is an optional immutable prefix shared read-only with any
-	// number of other dictionaries (the pre-trained basis dictionary of
-	// a compressor fleet). Frozen entries own identifiers [0, base) and
-	// are never evicted, refreshed or removed; dynamic entries start at
-	// base and behave exactly as before.
+	// number of dictionaries (a compressor fleet's pre-trained bases):
+	// identifiers [0, base), never evicted, refreshed or removed.
 	frozen *Frozen
 	base   uint32 // first dynamic id == frozen.Len()
 }
@@ -44,21 +128,26 @@ type Dictionary struct {
 // A Frozen is safe for concurrent use by any number of Dictionaries —
 // all its state is written once in NewFrozen and only read afterwards.
 type Frozen struct {
-	byKey map[string]uint32
-	bases []*bitvec.Vector
+	slab
+	bases []bitvec.Vector // views of keys
 }
 
 // NewFrozen builds a frozen dictionary from bases, assigning ids
-// 0..n-1 in order. Duplicate bases keep their first id; the vectors
-// are cloned, so the caller's slices stay free to mutate.
+// 0..n-1 in order. Duplicate bases keep their first id; the bytes are
+// copied, so the caller's vectors stay free to mutate.
 func NewFrozen(bases []*bitvec.Vector) *Frozen {
-	f := &Frozen{byKey: make(map[string]uint32, len(bases))}
+	f := &Frozen{slab: newSlab(2 << bits.Len(uint(len(bases))))} // at most half full
 	for _, b := range bases {
-		if _, dup := f.byKey[string(b.Bytes())]; dup {
-			continue
+		f.check(b)
+		if h := maphash.Bytes(hashSeed, b.Bytes()); f.find(h, b.Bytes()) == 0 {
+			f.keys = append(f.keys, b.Bytes()...)
+			f.ents = append(f.ents, entry{hash: h})
+			f.place(uint32(len(f.ents) - 1))
 		}
-		f.byKey[string(b.Bytes())] = uint32(len(f.bases))
-		f.bases = append(f.bases, b.Clone())
+	}
+	f.bases = make([]bitvec.Vector, len(f.ents)-1)
+	for i := range f.bases {
+		f.bases[i] = *bitvec.Wrap(f.key(uint32(i+1)), f.bits)
 	}
 	return f
 }
@@ -67,66 +156,56 @@ func NewFrozen(bases []*bitvec.Vector) *Frozen {
 func (f *Frozen) Len() int { return len(f.bases) }
 
 // Basis returns the basis for a frozen identifier.
-func (f *Frozen) Basis(id uint32) *bitvec.Vector { return f.bases[id] }
-
-type dictEntry struct {
-	key   string
-	basis *bitvec.Vector
-	id    uint32
-}
+func (f *Frozen) Basis(id uint32) *bitvec.Vector { return &f.bases[id] }
 
 // NewDictionary creates a dictionary with 2^idBits identifier slots.
 // Memory is proportional to the entries actually inserted, not to the
 // slot count: a decoder can be handed an attacker-chosen idBits (and,
 // in the sharded container, hundreds of dictionaries), so the 2^24
-// worst case must not be preallocated. Identifiers are still handed
-// out in increasing order (reusing Removed ids first, LIFO), exactly
-// as the previous eager free-list did.
+// worst case must not be preallocated — an empty dictionary holds an
+// 8-slot index and the slab grows geometrically from there. Identifiers
+// are handed out in increasing order, reusing Removed ids first (LIFO).
 func NewDictionary(idBits int) *Dictionary {
 	if idBits < 1 || idBits > 24 {
 		panic(fmt.Sprintf("gd: idBits %d out of range [1,24]", idBits))
 	}
-	return &Dictionary{
-		idBits:   idBits,
-		capacity: 1 << uint(idBits),
-		byKey:    make(map[string]*list.Element),
-		order:    list.New(),
-	}
+	return &Dictionary{idBits: idBits, slab: newSlab(8)}
 }
 
 // NewDictionaryFrozen creates a dictionary whose identifier space
 // starts with the shared frozen prefix: ids [0, frozen.Len()) resolve
-// through frozen (read-only, never evicted), and the remaining
-// capacity behaves as a normal LRU dictionary. frozen may be nil.
-// Because the prefix is only ever read, one Frozen can back any
-// number of concurrent dictionaries.
+// through frozen (read-only, never evicted), and the remaining capacity
+// behaves as a normal LRU dictionary. frozen may be nil. Because the
+// prefix is only read, one Frozen can back any number of dictionaries.
 func NewDictionaryFrozen(idBits int, frozen *Frozen) *Dictionary {
 	d := NewDictionary(idBits)
 	if frozen != nil && frozen.Len() > 0 {
-		if frozen.Len() >= d.capacity {
+		if frozen.Len() >= d.Capacity() {
 			panic(fmt.Sprintf("gd: frozen dictionary of %d entries leaves no dynamic room in 2^%d ids", frozen.Len(), idBits))
 		}
 		d.frozen = frozen
 		d.base = uint32(frozen.Len())
-		d.next = d.base
+		d.bits, d.stride = frozen.bits, frozen.stride
 	}
 	return d
 }
 
 // Reset drops every dynamic mapping while keeping the frozen prefix
-// and all allocated storage (map buckets, id table), so a
-// pooled encoder can re-serve a new stream without allocating.
+// and all allocated storage, so a pooled encoder can re-serve a new
+// stream without allocating. It costs O(live entries): a nearly empty
+// index is emptied entry by entry, not cleared whole.
 //
 //zipline:noalloc
 func (d *Dictionary) Reset() {
-	clear(d.byKey)
-	for i := range d.byID {
-		d.byID[i] = nil
+	if 16*d.Len() >= len(d.slots) {
+		clear(d.slots)
+	} else {
+		for n := d.ents[0].next; n != 0; n = d.ents[n].next {
+			d.unplace(n)
+		}
 	}
-	d.byID = d.byID[:0]
-	d.order.Init()
-	d.freed = d.freed[:0]
-	d.next = d.base
+	d.ents, d.keys, d.freed = d.ents[:1], d.keys[:0], d.freed[:0]
+	d.ents[0] = entry{}
 }
 
 // IDBits returns the identifier width in bits.
@@ -136,10 +215,10 @@ func (d *Dictionary) IDBits() int { return d.idBits }
 func (d *Dictionary) FrozenLen() int { return int(d.base) }
 
 // Capacity returns the number of identifier slots, 2^IDBits.
-func (d *Dictionary) Capacity() int { return d.capacity }
+func (d *Dictionary) Capacity() int { return 1 << uint(d.idBits) }
 
 // Len returns the number of bases currently mapped.
-func (d *Dictionary) Len() int { return d.order.Len() }
+func (d *Dictionary) Len() int { return len(d.ents) - 1 - len(d.freed) }
 
 // Lookup returns the identifier for a basis if present, refreshing
 // its recency (a data-plane hit resets the TNA idle timer). Frozen
@@ -148,99 +227,152 @@ func (d *Dictionary) Len() int { return d.order.Len() }
 //
 //zipline:noalloc
 func (d *Dictionary) Lookup(basis *bitvec.Vector) (uint32, bool) {
-	if d.frozen != nil {
-		if id, ok := d.frozen.byKey[string(basis.Bytes())]; ok {
-			return id, true
-		}
-	}
-	el, ok := d.byKey[string(basis.Bytes())]
-	if !ok {
-		return 0, false
-	}
-	d.order.MoveToFront(el)
-	return el.Value.(*dictEntry).id, true
+	d.check(basis)
+	return d.lookup(maphash.Bytes(hashSeed, basis.Bytes()), basis.Bytes())
 }
 
-// LookupID returns the basis for an identifier if one is mapped. It
-// does not refresh recency: decoders follow the encoder's mapping
-// rather than maintaining their own.
+// lookup is Lookup of the basis bytes key, whose hash is h.
+func (d *Dictionary) lookup(h uint64, key []byte) (uint32, bool) {
+	if d.frozen != nil {
+		if n := d.frozen.find(h, key); n != 0 {
+			return n - 1, true
+		}
+	}
+	n := d.find(h, key)
+	if n == 0 {
+		return 0, false
+	}
+	d.touch(n)
+	return d.base + n - 1, true
+}
+
+// unlink takes live entry n out of the LRU ring.
+func (d *Dictionary) unlink(n uint32) {
+	e := d.ents
+	e[e[n].prev].next, e[e[n].next].prev = e[n].next, e[n].prev
+}
+
+// pushFront makes unlinked entry n the most recently used.
+func (d *Dictionary) pushFront(n uint32) {
+	e := d.ents
+	e[n].prev, e[n].next = 0, e[0].next
+	e[e[0].next].prev, e[0].next = n, n
+}
+
+// touch is the recency refresh of a hit.
+func (d *Dictionary) touch(n uint32) {
+	if d.ents[0].next != n {
+		d.unlink(n)
+		d.pushFront(n)
+	}
+}
+
+// entryOf returns the live entry behind dynamic identifier id, or 0.
+func (d *Dictionary) entryOf(id uint32) uint32 {
+	if n := id - d.base; n < uint32(len(d.ents)-1) && d.ents[n+1].next != dead {
+		return n + 1
+	}
+	return 0
+}
+
+// LookupID returns the basis for an identifier if one is mapped (a
+// copy, for a dynamic one). It does not refresh recency: decoders
+// follow the encoder's mapping rather than maintaining their own.
 func (d *Dictionary) LookupID(id uint32) (*bitvec.Vector, bool) {
 	if id < d.base {
-		return d.frozen.bases[id], true
+		return d.frozen.Basis(id), true
 	}
-	if id >= uint32(len(d.byID)) || d.byID[id] == nil {
-		return nil, false
+	if n := d.entryOf(id); n != 0 {
+		return bitvec.FromBytes(d.key(n), d.bits), true
 	}
-	return d.byID[id].Value.(*dictEntry).basis, true
+	return nil, false
 }
 
 // LookupIDTouch is LookupID plus the recency refresh of a Lookup hit,
-// in one table access and without rebuilding the basis key — the
-// decoder's replay of an encoder hit, the dominant operation on the
-// decode hot path.
+// in one table access and without hashing the basis — the decoder's
+// replay of an encoder hit, the dominant operation on the decode hot
+// path. The result is valid until the next mutating call.
 //
 //zipline:noalloc
 func (d *Dictionary) LookupIDTouch(id uint32) (*bitvec.Vector, bool) {
 	if id < d.base {
 		// Mirrors the encoder: frozen hits carry no recency.
-		return d.frozen.bases[id], true
+		return d.frozen.Basis(id), true
 	}
-	if id >= uint32(len(d.byID)) || d.byID[id] == nil {
+	n := d.entryOf(id)
+	if n == 0 {
 		return nil, false
 	}
-	el := d.byID[id]
-	d.order.MoveToFront(el)
-	return el.Value.(*dictEntry).basis, true
+	d.touch(n)
+	copy(d.out.Bytes(), d.key(n))
+	return d.out, true
 }
 
 // Insert maps a new basis, allocating the least recently used
-// identifier. It returns the assigned id and, when an existing
-// mapping had to be recycled, the evicted basis. Inserting a basis
-// that is already present just refreshes it.
+// identifier. It returns the assigned id and, when an existing mapping
+// had to be recycled, the evicted basis (valid until the next mutating
+// call). Inserting a basis that is already present just refreshes it.
+//
+//zipline:noalloc
 func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Vector) {
-	// Present already, frozen (permanently mapped) or dynamic (refreshed).
-	if id, ok := d.Lookup(basis); ok {
-		return id, nil
+	d.check(basis)
+	h := maphash.Bytes(hashSeed, basis.Bytes())
+	if id, ok := d.lookup(h, basis.Bytes()); ok {
+		return id, nil // present already: frozen (permanent) or dynamic (refreshed)
 	}
-	key := string(basis.Bytes())
+	return d.insert(h, basis.Bytes())
+}
+
+// insert stores the absent basis bytes key, whose hash is h.
+func (d *Dictionary) insert(h uint64, key []byte) (id uint32, evicted *bitvec.Vector) {
+	if d.out == nil {
+		//ziplint:allow noalloc the result scratch, once per dictionary
+		d.out = bitvec.New(d.bits)
+	}
+	var n uint32
 	switch {
 	case len(d.freed) > 0:
-		id = d.freed[len(d.freed)-1]
+		n = d.freed[len(d.freed)-1]
 		d.freed = d.freed[:len(d.freed)-1]
-	case d.next < uint32(d.capacity):
-		id = d.next
-		d.next++
+	case len(d.ents)-1 < d.Capacity()-int(d.base):
+		n = uint32(len(d.ents))
+		//ziplint:allow noalloc slab growth, geometric; a Reset dictionary refills its old storage
+		d.ents, d.keys = append(d.ents, entry{}), append(d.keys, key...)
 	default:
 		// Recycle the least recently used mapping (paper §5: "an LRU
-		// policy is applied to evict and recycle an identifier").
-		back := d.order.Back()
-		ent := back.Value.(*dictEntry)
-		id = ent.id
-		evicted = ent.basis
-		delete(d.byKey, ent.key)
-		d.byID[id] = nil
-		d.order.Remove(back)
+		// policy is applied to evict and recycle an identifier"); its
+		// stored hash finds its index slot.
+		n = d.ents[0].prev
+		evicted = d.out
+		copy(evicted.Bytes(), d.key(n))
+		d.unlink(n)
+		d.unplace(n)
 	}
-	el := d.order.PushFront(&dictEntry{key: key, basis: basis.Clone(), id: id})
-	d.byKey[key] = el
-	for int(id) >= len(d.byID) {
-		d.byID = append(d.byID, nil)
+	if 2*d.Len() > len(d.slots) {
+		// Double the index; the ring holds every entry but n.
+		//ziplint:allow noalloc index growth, geometric
+		d.slots = make([]uint32, 2*len(d.slots))
+		for m := d.ents[0].next; m != 0; m = d.ents[m].next {
+			d.place(m)
+		}
 	}
-	d.byID[id] = el
-	return id, evicted
+	copy(d.key(n), key)
+	d.ents[n].hash = h
+	d.pushFront(n)
+	d.place(n)
+	return d.base + n - 1, evicted
 }
 
 // Remove drops the mapping for a basis, returning its id to the free
 // pool. It reports whether the basis was present.
 func (d *Dictionary) Remove(basis *bitvec.Vector) bool {
-	el, ok := d.byKey[string(basis.Bytes())]
-	if !ok {
-		return false
+	d.check(basis)
+	n := d.find(maphash.Bytes(hashSeed, basis.Bytes()), basis.Bytes())
+	if n != 0 {
+		d.unlink(n)
+		d.unplace(n)
+		d.ents[n].next = dead
+		d.freed = append(d.freed, n)
 	}
-	ent := el.Value.(*dictEntry)
-	delete(d.byKey, ent.key)
-	d.byID[ent.id] = nil
-	d.order.Remove(el)
-	d.freed = append(d.freed, ent.id)
-	return true
+	return n != 0
 }

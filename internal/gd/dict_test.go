@@ -3,6 +3,7 @@ package gd
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"zipline/internal/bitvec"
@@ -275,6 +276,165 @@ func TestFrozenSharedAcrossDictionariesConcurrently(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+func TestDictionaryRejectsOtherBasisLength(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	d := NewDictionary(2)
+	d.Insert(bv(t, "0001"))
+	mustPanic("Insert", func() { d.Insert(bv(t, "00001")) })
+	mustPanic("Lookup", func() { d.Lookup(bv(t, "001")) })
+	mustPanic("Remove", func() { d.Remove(bv(t, "00000001")) })
+	d.Reset() // the stride outlives the entries
+	mustPanic("Insert after Reset", func() { d.Insert(bv(t, "00001")) })
+	mustPanic("NewFrozen", func() { NewFrozen([]*bitvec.Vector{bv(t, "0001"), bv(t, "00010")}) })
+	df := NewDictionaryFrozen(2, NewFrozen([]*bitvec.Vector{bv(t, "0001")}))
+	mustPanic("Lookup under a frozen prefix", func() { df.Lookup(bv(t, "00001")) })
+	if d.Len() != 0 || df.Len() != 0 {
+		t.Fatal("a rejected basis left an entry behind")
+	}
+}
+
+// randomBases returns n distinct 31-byte bases, the default codec's
+// basis rounded up to whole bytes.
+func randomBases(n int, seed int64) []*bitvec.Vector {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*bitvec.Vector, n)
+	for i := range out {
+		b := make([]byte, 31)
+		rng.Read(b[4:])
+		b[0], b[1], b[2], b[3] = byte(i>>24), byte(i>>16), byte(i>>8), byte(i)
+		out[i] = bitvec.FromBytes(b, 248)
+	}
+	return out
+}
+
+func TestDictionaryChurnZeroAllocs(t *testing.T) {
+	d := NewDictionary(6)
+	bases := randomBases(4*d.Capacity(), 3)
+	for _, b := range bases { // full, every growth behind it
+		d.Insert(b)
+	}
+	i := 0
+	churn := func() {
+		b := bases[i%len(bases)] // cyclic over 4× capacity: never present
+		i++
+		if _, ok := d.Lookup(b); ok {
+			t.Fatal("hit in the all-miss cycle")
+		}
+		if _, ev := d.Insert(b); ev == nil {
+			t.Fatal("insert into a full dictionary evicted nothing")
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, churn); allocs != 0 {
+		t.Fatalf("miss + evicting insert = %v allocs/op, want 0", allocs)
+	}
+	last := bases[(i-1)%len(bases)]
+	hit := func() {
+		id, ok := d.Lookup(last)
+		if b, ok2 := d.LookupIDTouch(id); !ok || !ok2 || !b.Equal(last) {
+			t.Fatal("hit lost")
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, hit); allocs != 0 {
+		t.Fatalf("hit = %v allocs/op, want 0", allocs)
+	}
+}
+
+func TestDictionaryMemoryTracksInserts(t *testing.T) {
+	// The widest identifier space: memory must follow the 100 entries,
+	// not the 2^24 identifiers.
+	bases := randomBases(100, 5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := NewDictionary(24)
+	for _, b := range bases {
+		d.Insert(b)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 32<<10 {
+		t.Fatalf("100 inserts at idBits 24 allocated %d bytes, want < 32 KiB", alloc)
+	}
+	if d.Len() != 100 {
+		t.Fatalf("Len = %d", d.Len())
+	}
+}
+
+const benchIDBits = 15 // the default Config: 32 768 entries
+
+// BenchmarkDictionaryChurn is stream-noise's record: a miss, then an
+// insert that evicts, on a full default-sized dictionary.
+func BenchmarkDictionaryChurn(b *testing.B) {
+	d := NewDictionary(benchIDBits)
+	bases := randomBases(2*d.Capacity(), 1) // cyclic over 2× capacity: never present
+	for _, v := range bases {
+		d.Insert(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := bases[i%len(bases)]
+		if _, ok := d.Lookup(v); !ok {
+			d.Insert(v)
+		}
+	}
+}
+
+// BenchmarkDictionaryHit is a Lookup hit on a full dictionary, cycling
+// through every entry so each one moves to the front.
+func BenchmarkDictionaryHit(b *testing.B) {
+	d := NewDictionary(benchIDBits)
+	bases := randomBases(d.Capacity(), 1)
+	for _, v := range bases {
+		d.Insert(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := d.Lookup(bases[i%len(bases)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkDictionaryFrozenHit is a Lookup answered by the frozen
+// prefix (half the identifier space, as TrainDict caps it).
+func BenchmarkDictionaryFrozenHit(b *testing.B) {
+	bases := randomBases(1<<(benchIDBits-1), 1)
+	d := NewDictionaryFrozen(benchIDBits, NewFrozen(bases))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := d.Lookup(bases[i%len(bases)]); !ok {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkDictionaryReset is the checkpoint pattern: a dictionary
+// that once held a whole stream's bases is Reset around 16 records.
+func BenchmarkDictionaryReset(b *testing.B) {
+	d := NewDictionary(benchIDBits)
+	bases := randomBases(d.Capacity(), 1)
+	for _, v := range bases {
+		d.Insert(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Reset()
+		for _, v := range bases[:16] {
+			d.Insert(v)
 		}
 	}
 }

@@ -14,4 +14,12 @@
 // future-work reference [37]. The BCH transform from the paper's
 // future work lives in zipline/internal/bch and plugs into the same
 // interface.
+//
+// Dictionary and Frozen (dict.go) keep their bases in a slab: the bytes
+// packed at a fixed stride, a hash and two LRU links per entry, all in
+// flat slices indexed by identifier and found through one open-addressed
+// index (linear probing, backward-shift deletion). A call hashes its
+// basis once; a miss, an eviction and a Reset allocate nothing. The
+// vectors LookupIDTouch and Insert return are the dictionary's scratch,
+// valid until its next mutating call.
 package gd

@@ -34,7 +34,7 @@ import (
 // the same Split allocate nothing on the Hamming fast path, which is
 // what lets each stream worker encode with a single scratch struct.
 // The previous contents of s are overwritten; bases handed to a
-// Dictionary are cloned on insert, so reuse is safe.
+// Dictionary are copied on insert, so reuse is safe.
 //
 //zipline:noalloc
 func (c *Codec) SplitChunkInto(chunk []byte, s *Split) error {

@@ -237,6 +237,8 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 				return out, fmt.Errorf("%w: truncated identifier", ErrCorrupt)
 			}
 			// Mirrors the encoder's lookup including its recency refresh.
+			// b is the dictionary's scratch, valid until its next mutating
+			// call: it is merged before the next record is read.
 			b, ok := d.dict.LookupIDTouch(uint32(id))
 			if !ok {
 				return out, fmt.Errorf("%w: unknown identifier %d", ErrCorrupt, id)
