@@ -28,9 +28,20 @@ func armedEvictionSpec(t *testing.T) Spec {
 	return spec
 }
 
+// armedTTLSpec is lossy-control with idle aging: the controller's TTL
+// sweep writes both tiers while a fifth of the control messages are
+// lost and the decoder power-cycles.
+func armedTTLSpec(t *testing.T, seed int64) Spec {
+	spec := preset(t, "lossy-control")
+	spec.Seed = seed
+	spec.DurationNs = 60 * int64(netsim.Millisecond)
+	spec.Controller.TTLNs = 2 * int64(netsim.Millisecond)
+	return spec
+}
+
 // pinnedSpecs are the schedules testdata/prefault does not reach: the
-// armed chain, both eviction branches and the ranged multi-controller
-// build.
+// armed chain, both eviction branches, armed aging and the ranged
+// multi-controller build.
 func pinnedSpecs(t *testing.T) map[string]Spec {
 	evict := preset(t, "single")
 	evict.Codec.IDBits = 6
@@ -38,6 +49,7 @@ func pinnedSpecs(t *testing.T) map[string]Spec {
 	return map[string]Spec{
 		"lossy-control":         preset(t, "lossy-control"),
 		"lossy-control-idbits6": armedEvictionSpec(t),
+		"lossy-control-ttl":     armedTTLSpec(t, 1),
 		"single-idbits6":        evict,
 		"fat-tree":              preset(t, "fat-tree"),
 	}
@@ -67,5 +79,23 @@ func TestPinnedSchedules(t *testing.T) {
 				t.Fatalf("report diverged from pinned schedule (%d vs %d bytes)", len(got), len(golden))
 			}
 		})
+	}
+}
+
+// TestArmedTTLNeverStrands covers armed faults with a TTL: across
+// twelve seeds the sweep must expire mappings and no compressed frame
+// may reach a decoder that lacks its mapping.
+func TestArmedTTLNeverStrands(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		r := mustBuild(t, armedTTLSpec(t, seed)).Run()
+		if r.Faults == nil {
+			t.Fatalf("seed %d: armed run produced no fault report", seed)
+		}
+		if n := r.Faults.StrandedCompressed; n != 0 {
+			t.Errorf("seed %d: %d stranded compressed packets", seed, n)
+		}
+		if r.Learning.Expired == 0 {
+			t.Errorf("seed %d: nothing expired: %+v", seed, r.Learning)
+		}
 	}
 }
