@@ -110,7 +110,7 @@ func TestDeprecatedWrappersAreTheUnifiedTypes(t *testing.T) {
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	comp, err := CompressBytesParallel([]byte("wrapper"), Config{}, 3)
+	comp, err := compressSharded([]byte("wrapper"), Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestEncodeAllOnParallelWriterStaysSerial(t *testing.T) {
 
 func TestDecodeAllReadsShardedStreams(t *testing.T) {
 	data := sensorLikeData(3*defaultSegmentBytes+17, 121)
-	comp, err := CompressBytesParallel(data, Config{}, 5)
+	comp, err := compressSharded(data, Config{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestDifferentialWriterReaderPairings(t *testing.T) {
 				}
 
 				for workers := 1; workers <= 8; workers++ {
-					parComp, err := CompressBytesParallel(data, cfg, workers)
+					parComp, err := compressSharded(data, cfg, workers)
 					if err != nil {
 						t.Fatalf("workers %d: %v", workers, err)
 					}
@@ -99,7 +99,7 @@ func TestDifferentialRandomInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parComp, err := CompressBytesParallel(data, Config{}, workers)
+		parComp, err := compressSharded(data, Config{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,13 +26,13 @@ func FuzzDecompressBytes(f *testing.F) {
 	}
 	// Sharded v2 containers: several shard counts, a multi-segment
 	// stream (groups on more than one shard) and a tail-bearing one.
-	if comp, err := CompressBytesParallel(bytes.Repeat([]byte{9, 8, 7, 6}, 100), Config{}, 3); err == nil {
+	if comp, err := compressSharded(bytes.Repeat([]byte{9, 8, 7, 6}, 100), Config{}, 3); err == nil {
 		f.Add(comp)
 	}
-	if comp, err := CompressBytesParallel(bytes.Repeat([]byte{0xAB}, 2*defaultSegmentBytes+5), Config{}, 2); err == nil {
+	if comp, err := compressSharded(bytes.Repeat([]byte{0xAB}, 2*defaultSegmentBytes+5), Config{}, 2); err == nil {
 		f.Add(comp)
 	}
-	if comp, err := CompressBytesParallel([]byte("v2 tail-only"), Config{M: 5}, 4); err == nil {
+	if comp, err := compressSharded([]byte("v2 tail-only"), Config{M: 5}, 4); err == nil {
 		f.Add(comp)
 	}
 	// Dictionary-framed v3 containers: the dictless decoder must
@@ -163,7 +163,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if !bytes.Equal(back, data) {
 			t.Fatalf("round trip failed for cfg %+v", cfg)
 		}
-		pcomp, err := CompressBytesParallel(data, cfg, int(workers%8)+1)
+		pcomp, err := compressSharded(data, cfg, int(workers%8)+1)
 		if err != nil {
 			t.Fatalf("parallel compress: %v", err)
 		}
@@ -203,7 +203,7 @@ func FuzzParallelReader(f *testing.F) {
 	if comp, err := CompressBytes(bytes.Repeat([]byte("serial v1 stream!"), 50), Config{}); err == nil {
 		f.Add(comp)
 	}
-	if comp, err := CompressBytesParallel(bytes.Repeat([]byte{1, 2, 3, 4}, 100), Config{}, 3); err == nil {
+	if comp, err := compressSharded(bytes.Repeat([]byte{1, 2, 3, 4}, 100), Config{}, 3); err == nil {
 		f.Add(comp)
 		// Truncations: inside the stream header, the v2 extension, the
 		// first group header, a group body, and just short of the
@@ -230,7 +230,7 @@ func FuzzParallelReader(f *testing.F) {
 	}
 	// A multi-segment stream (several groups per shard) and a
 	// tail-bearing one.
-	if comp, err := CompressBytesParallel(sensorLikeData(2*defaultSegmentBytes+5, 9), Config{}, 4); err == nil {
+	if comp, err := compressSharded(sensorLikeData(2*defaultSegmentBytes+5, 9), Config{}, 4); err == nil {
 		f.Add(comp)
 		f.Add(append([]byte(nil), comp[:len(comp)-7]...))
 	}

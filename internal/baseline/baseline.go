@@ -12,19 +12,13 @@ import (
 )
 
 // GzipSize compresses the trace's concatenated payloads with gzip at
-// the given level (0 = gzip.DefaultCompression, as the paper's
-// off-the-shelf invocation) and returns the compressed size in bytes.
-// This is the Figure 3 "Gzip" bar: "we extract all payloads in a
-// regular file that we compress with the gzip compression tool".
-func GzipSize(t *trace.Trace, level int) (int, error) {
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
+// its default level (the paper's off-the-shelf invocation) and returns
+// the compressed size in bytes. This is the Figure 3 "Gzip" bar: "we
+// extract all payloads in a regular file that we compress with the
+// gzip compression tool".
+func GzipSize(t *trace.Trace) (int, error) {
 	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, level)
-	if err != nil {
-		return 0, fmt.Errorf("baseline: %w", err)
-	}
+	w := gzip.NewWriter(&buf)
 	if _, err := w.Write(t.Bytes()); err != nil {
 		return 0, fmt.Errorf("baseline: %w", err)
 	}
@@ -32,42 +26,6 @@ func GzipSize(t *trace.Trace, level int) (int, error) {
 		return 0, fmt.Errorf("baseline: %w", err)
 	}
 	return buf.Len(), nil
-}
-
-// GzipRoundTrip verifies losslessness of the gzip baseline and
-// returns the decompressed byte count (tests use it; the harness
-// trusts the stdlib).
-func GzipRoundTrip(t *trace.Trace, level int) (int, error) {
-	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, normaliseLevel(level))
-	if err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(t.Bytes()); err != nil {
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	r, err := gzip.NewReader(&buf)
-	if err != nil {
-		return 0, err
-	}
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(r); err != nil {
-		return 0, err
-	}
-	if !bytes.Equal(out.Bytes(), t.Bytes()) {
-		return 0, fmt.Errorf("baseline: gzip round trip mismatch")
-	}
-	return out.Len(), nil
-}
-
-func normaliseLevel(level int) int {
-	if level == 0 {
-		return gzip.DefaultCompression
-	}
-	return level
 }
 
 // DedupConfig parameterises a dictionary-compression run.
@@ -78,14 +36,6 @@ type DedupConfig struct {
 	// IDBits sizes the dictionary at 2^IDBits LRU slots (default 15,
 	// the paper's).
 	IDBits int
-	// HitBytes is the payload cost of a dictionary hit. Default:
-	// the aligned type 3 wire size for the codec (3 B at m=8, t=15),
-	// or 2 + IDBits/8-rounded reference bytes for exact dedup.
-	HitBytes int
-	// MissBytes is the payload cost of a miss. Default: the aligned
-	// type 2 wire size (33 B at m=8), or the record size for exact
-	// dedup.
-	MissBytes int
 }
 
 // DedupResult summarises a dictionary compression run at the payload
@@ -109,7 +59,10 @@ func (r DedupResult) Ratio(inputBytes int) float64 {
 // dictionary holds 2^IDBits entries with LRU replacement — the same
 // policy as the switch tables, but in-process and with instantaneous
 // learning. It is the "static table meets finite memory" model used
-// by the dictionary-size and transform ablations.
+// by the dictionary-size and transform ablations. A hit costs the
+// codec's aligned type 3 wire size (3 B at m=8, t=15) and a miss its
+// aligned type 2 size (33 B at m=8); exact dedup pays ⌈IDBits/8⌉
+// reference bytes for a hit and the whole record for a miss.
 func DedupSize(t *trace.Trace, cfg DedupConfig) (DedupResult, error) {
 	if cfg.IDBits == 0 {
 		cfg.IDBits = 15
@@ -117,27 +70,13 @@ func DedupSize(t *trace.Trace, cfg DedupConfig) (DedupResult, error) {
 	if cfg.Codec != nil && cfg.Codec.ChunkBytes() != t.RecordSize {
 		return DedupResult{}, fmt.Errorf("baseline: chunk %d != record %d", cfg.Codec.ChunkBytes(), t.RecordSize)
 	}
-	if cfg.HitBytes == 0 {
-		if cfg.Codec != nil {
-			f, err := packet.NewFormat(cfg.Codec, cfg.IDBits, true)
-			if err != nil {
-				return DedupResult{}, err
-			}
-			cfg.HitBytes = f.Type3Len()
-		} else {
-			cfg.HitBytes = (cfg.IDBits + 7) / 8
+	hitBytes, missBytes := (cfg.IDBits+7)/8, t.RecordSize
+	if cfg.Codec != nil {
+		f, err := packet.NewFormat(cfg.Codec, cfg.IDBits, true)
+		if err != nil {
+			return DedupResult{}, err
 		}
-	}
-	if cfg.MissBytes == 0 {
-		if cfg.Codec != nil {
-			f, err := packet.NewFormat(cfg.Codec, cfg.IDBits, true)
-			if err != nil {
-				return DedupResult{}, err
-			}
-			cfg.MissBytes = f.Type2Len()
-		} else {
-			cfg.MissBytes = t.RecordSize
-		}
+		hitBytes, missBytes = f.Type3Len(), f.Type2Len()
 	}
 
 	dict := gd.NewDictionary(cfg.IDBits)
@@ -158,10 +97,10 @@ func DedupSize(t *trace.Trace, cfg DedupConfig) (DedupResult, error) {
 		seen[string(key.Bytes())] = struct{}{}
 		if _, hit := dict.Lookup(key); hit {
 			res.HitRecords++
-			res.OutputBytes += cfg.HitBytes
+			res.OutputBytes += hitBytes
 		} else {
 			res.MissRecords++
-			res.OutputBytes += cfg.MissBytes
+			res.OutputBytes += missBytes
 			if _, evicted := dict.Insert(key); evicted != nil {
 				res.EvictedKeys++
 			}

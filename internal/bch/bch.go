@@ -66,15 +66,6 @@ func New(m, t int) (*Code, error) {
 	}, nil
 }
 
-// MustNew is New, panicking on error.
-func MustNew(m, t int) *Code {
-	c, err := New(m, t)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // N returns the code length in bits.
 func (c *Code) N() int { return c.n }
 

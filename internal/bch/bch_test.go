@@ -32,7 +32,10 @@ func TestT1MatchesHamming(t *testing.T) {
 	// BCH with t=1 *is* the Hamming code: same generator, same
 	// syndromes, same corrections.
 	for _, m := range []int{3, 4, 8} {
-		code := MustNew(m, 1)
+		code, err := New(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ham := hamming.MustByM(m)
 		if uint32(code.Generator()) != ham.Engine().Generator() {
 			t.Fatalf("m=%d: generator %#x != hamming %#x", m, code.Generator(), ham.Engine().Generator())
@@ -49,7 +52,10 @@ func TestT1MatchesHamming(t *testing.T) {
 
 func TestErrorPositionsUpToT(t *testing.T) {
 	for _, tc := range []struct{ m, t int }{{4, 2}, {5, 2}, {8, 2}, {8, 3}} {
-		code := MustNew(tc.m, tc.t)
+		code, err := New(tc.m, tc.t)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := rand.New(rand.NewSource(int64(tc.m*10 + tc.t)))
 		for trial := 0; trial < 60; trial++ {
 			// Start from a random codeword.
@@ -93,7 +99,10 @@ func TestBeyondRadiusIsDetected(t *testing.T) {
 	// some ≤t-error pattern with the same syndrome — never panic,
 	// and the transform fallback must keep Split/Merge bijective
 	// (checked by the round-trip test below).
-	code := MustNew(4, 2)
+	code, err := New(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(77))
 	undecodable := 0
 	for trial := 0; trial < 200; trial++ {

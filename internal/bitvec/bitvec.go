@@ -117,16 +117,6 @@ func (v *Vector) Flip(i int) {
 	v.data[i>>3] ^= 1 << (7 - uint(i&7))
 }
 
-// Xor sets v to v XOR u. The vectors must have equal length.
-func (v *Vector) Xor(u *Vector) {
-	if v.n != u.n {
-		panic(fmt.Sprintf("bitvec: xor length mismatch %d != %d", v.n, u.n))
-	}
-	for i := range v.data {
-		v.data[i] ^= u.data[i]
-	}
-}
-
 // Equal reports whether v and u have the same length and bits.
 func (v *Vector) Equal(u *Vector) bool {
 	if v.n != u.n {
@@ -167,25 +157,6 @@ func (v *Vector) Reset(n int) {
 	v.n = n
 }
 
-// Zero reports whether every bit is clear.
-func (v *Vector) Zero() bool {
-	for _, b := range v.data {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// OnesCount returns the number of set bits (the Hamming weight).
-func (v *Vector) OnesCount() int {
-	n := 0
-	for _, b := range v.data {
-		n += popcount(b)
-	}
-	return n
-}
-
 // Slice returns a new vector holding bits [start, start+length) of v.
 func (v *Vector) Slice(start, length int) *Vector {
 	if start < 0 || length < 0 || start+length > v.n {
@@ -193,14 +164,6 @@ func (v *Vector) Slice(start, length int) *Vector {
 	}
 	out := New(length)
 	CopyBits(out.data, 0, v.data, start, length)
-	return out
-}
-
-// Concat returns a new vector holding v followed by u.
-func (v *Vector) Concat(u *Vector) *Vector {
-	out := New(v.n + u.n)
-	copy(out.data, v.data)
-	CopyBits(out.data, v.n, u.data, 0, u.n)
 	return out
 }
 
@@ -250,13 +213,4 @@ func (v *Vector) clearTail() {
 	if r := v.n & 7; r != 0 && len(v.data) > 0 {
 		v.data[len(v.data)-1] &= byte(0xFF) << (8 - uint(r))
 	}
-}
-
-func popcount(b byte) int {
-	n := 0
-	for b != 0 {
-		b &= b - 1
-		n++
-	}
-	return n
 }

@@ -15,7 +15,7 @@
 // Three functions move bits, all a machine word at a time: CopyBits
 // for a run of any length, Uint and PutUint for a field of up to 64
 // bits. Writer and Reader are cursors over them — a position, a bounds
-// check and, for Writer, buffer growth — and Vector's Slice and Concat
-// are CopyBits calls. Only WriteBit and ReadBit touch a single bit,
-// because a single bit is what they are asked for.
+// check and, for Writer, buffer growth — and Vector's Slice is a
+// CopyBits call. Only WriteBit and ReadBit touch a single bit, because
+// a single bit is what they are asked for.
 package bitvec

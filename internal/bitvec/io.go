@@ -81,19 +81,6 @@ type Reader struct {
 	n    int // total bits available
 }
 
-// NewReader returns a Reader over all bits of data.
-func NewReader(data []byte) *Reader {
-	return &Reader{data: data, n: len(data) * 8}
-}
-
-// NewReaderBits returns a Reader over the first nbits of data.
-func NewReaderBits(data []byte, nbits int) *Reader {
-	if nbits > len(data)*8 {
-		panic(fmt.Sprintf("bitvec: NewReaderBits %d > %d available", nbits, len(data)*8))
-	}
-	return &Reader{data: data, n: nbits}
-}
-
 // ResetBits rewinds the Reader over the first nbits of data, so a
 // long-lived Reader can parse a stream of blocks without allocating
 // one parser per block.
@@ -150,15 +137,6 @@ func (r *Reader) ReadVector(n int) (*Vector, error) {
 	CopyBits(out.data, 0, r.data, r.pos, n)
 	r.pos += n
 	return out, nil
-}
-
-// Skip discards n bits.
-func (r *Reader) Skip(n int) error {
-	if r.pos+n > r.n {
-		return ErrShortBuffer
-	}
-	r.pos += n
-	return nil
 }
 
 // Remaining returns the number of unread bits.

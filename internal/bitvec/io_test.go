@@ -42,7 +42,8 @@ func TestWriterVectorAlignedFast(t *testing.T) {
 	v := MustParse("10110011101") // 11 bits
 	w.WriteVector(v)              // aligned path
 	w.WriteVector(v)              // unaligned path
-	r := NewReaderBits(w.Bytes(), w.Len())
+	var r Reader
+	r.ResetBits(w.Bytes(), w.Len())
 	for i := 0; i < 2; i++ {
 		got, err := r.ReadVector(11)
 		if err != nil {
@@ -58,7 +59,8 @@ func TestWriterBytesUnaligned(t *testing.T) {
 	var w Writer
 	w.WriteBit(true)
 	w.WriteBytes([]byte{0xAB, 0xCD})
-	r := NewReaderBits(w.Bytes(), w.Len())
+	var r Reader
+	r.ResetBits(w.Bytes(), w.Len())
 	if b, _ := r.ReadBit(); !b {
 		t.Fatal("first bit lost")
 	}
@@ -85,11 +87,12 @@ func TestWriterReset(t *testing.T) {
 }
 
 func TestReaderErrors(t *testing.T) {
-	r := NewReader([]byte{0xFF})
+	var r Reader
+	r.ResetBits([]byte{0xFF}, 8)
 	if _, err := r.ReadUint(9); err != ErrShortBuffer {
 		t.Fatalf("ReadUint(9) err = %v, want ErrShortBuffer", err)
 	}
-	if err := r.Skip(8); err != nil {
+	if _, err := r.ReadUint(8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadBit(); err != ErrShortBuffer {
@@ -101,7 +104,8 @@ func TestReaderErrors(t *testing.T) {
 }
 
 func TestReaderRemaining(t *testing.T) {
-	r := NewReaderBits([]byte{0xAA, 0xBB}, 12)
+	var r Reader
+	r.ResetBits([]byte{0xAA, 0xBB}, 12)
 	if r.Remaining() != 12 {
 		t.Fatalf("Remaining = %d", r.Remaining())
 	}
@@ -148,7 +152,8 @@ func TestWriterReaderRoundTripRandom(t *testing.T) {
 				w.WriteBytes(bs)
 			}
 		}
-		r := NewReaderBits(w.Bytes(), w.Len())
+		var r Reader
+		r.ResetBits(w.Bytes(), w.Len())
 		for i, o := range ops {
 			switch o.kind {
 			case 0:
@@ -223,7 +228,8 @@ func TestWriterReaderEveryAlignment(t *testing.T) {
 				t.Fatalf("align %d nb %d: packed %x, reference %x", align, nb, w.Bytes(), ref.Bytes())
 			}
 
-			r := NewReaderBits(w.Bytes(), w.Len())
+			var r Reader
+			r.ResetBits(w.Bytes(), w.Len())
 			if got, err := r.ReadUint(align); err != nil || got != lead {
 				t.Fatalf("align %d nb %d: lead %x != %x (%v)", align, nb, got, lead, err)
 			}

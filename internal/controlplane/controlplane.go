@@ -34,9 +34,6 @@ type Config struct {
 	// WriteLatencyNs is one BfRt table write (default 800 µs).
 	// A fresh mapping takes two writes: decoder first, then encoder.
 	WriteLatencyNs netsim.Time
-	// JitterFrac adds uniform noise to every latency component
-	// (default 0.03).
-	JitterFrac float64
 	// SweepIntervalNs polls the encoder's idle timers for TTL expiry
 	// (0 disables aging sweeps).
 	SweepIntervalNs netsim.Time
@@ -69,6 +66,9 @@ const (
 	DefaultWriteLatencyNs  = 800 * netsim.Microsecond
 )
 
+// jitterFrac adds uniform noise to every latency component.
+const jitterFrac = 0.03
+
 func (c Config) withDefaults() Config {
 	if c.IDBits == 0 {
 		c.IDBits = 15
@@ -81,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteLatencyNs == 0 {
 		c.WriteLatencyNs = DefaultWriteLatencyNs
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.03
 	}
 	if c.Faults != nil {
 		if c.RetransmitTimeoutNs == 0 {
@@ -314,13 +311,6 @@ func (c *Controller) Manages(pl *tofino.Pipeline) bool {
 // protocol whatever the channel.
 func (c *Controller) armed() bool { return c.cfg.Faults != nil }
 
-// HandleDigestNow injects a digest as if the first encoder had just
-// emitted it (test and tooling hook); the digest latency is NOT
-// applied.
-func (c *Controller) HandleDigestNow(basis *bitvec.Vector) {
-	c.handleDigest(c.encs[0], basis.Bytes(), c.sim.Now())
-}
-
 // handleDigest is the digest sink. It strips the epoch tag and
 // discards digests emitted by an earlier incarnation of src (only
 // messages already in flight at a crash), dedups against live and
@@ -342,7 +332,7 @@ func (c *Controller) handleDigest(src *tofino.Pipeline, data []byte, emitted net
 		return
 	}
 	c.inflight[key] = emitted
-	c.sim.After(c.sim.Jitter(c.cfg.DecisionNs, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(c.cfg.DecisionNs, jitterFrac), func() {
 		c.allocate(key, basis)
 	})
 }
@@ -363,7 +353,7 @@ func (c *Controller) allocate(key string, basis *bitvec.Vector) {
 	// than the pool), retry after a write interval.
 	victimKey := c.pickVictim()
 	if victimKey == "" {
-		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
 			c.allocate(key, basis)
 		})
 		return
@@ -528,17 +518,22 @@ func (c *Controller) sweep() {
 		basis := m.basis
 		// One write per tier: encoder entries out first, then the
 		// decoder entries, then the identifier returns to the pool.
-		// Expiry writes the tables directly, not through write: no
-		// test or sweep matrix pins an armed run with a TTL, so moving
-		// it onto the lossy channel would change schedules unobserved.
+		// Expiry writes the tables directly, not through write. Routed
+		// through write (retrying without cap) the unarmed ttl matrix
+		// stays byte-identical, but TestArmedTTLNeverStrands' twelve
+		// armed seeds strand 21 compressed frames and two end at 0.25
+		// delivery: an expiry chain carries no generation, so a resync
+		// can reinstall an encoder mapping whose decoder entry the
+		// chain then deletes. The fold needs generation-tagged chains
+		// and the model test of ROADMAP item 6.
 		keyCopy, idCopy := key, m.id
-		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
 			for _, enc := range c.encs {
 				zswitch.DeleteBasisToID(enc, basis)
 			}
 			delete(c.byKey, keyCopy)
 			delete(c.recycling, keyCopy)
-			c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+			c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
 				for _, dec := range c.decs {
 					zswitch.DeleteIDToBasis(dec, idCopy)
 				}

@@ -50,7 +50,7 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.At(0, func() { ctl.HandleDigestNow(s.Basis) })
+	sim.At(0, func() { ctl.handleDigest(enc1, s.Basis.Bytes(), 0) })
 
 	// Invariant checked at every event boundary: an encoder never
 	// knows a basis whose ID any decoder cannot resolve.

@@ -69,7 +69,7 @@ func (c *Controller) send(m *relMsg) {
 		c.timeout(m) // lost in flight; the sender times out
 		return
 	}
-	c.sim.After(c.sim.Jitter(m.latency, c.cfg.JitterFrac), func() {
+	c.sim.After(c.sim.Jitter(m.latency, jitterFrac), func() {
 		if m.target != nil && m.target.Down() {
 			c.timeout(m) // delivered into a dead switch: no ack
 			return
@@ -111,7 +111,7 @@ func (c *Controller) timeout(m *relMsg) {
 // latency, retransmitted up to maxRetries times on a lossy channel.
 func (c *Controller) deliver(latency netsim.Time, maxRetries int, apply func()) {
 	if !c.armed() {
-		c.sim.After(c.sim.Jitter(latency, c.cfg.JitterFrac), apply)
+		c.sim.After(c.sim.Jitter(latency, jitterFrac), apply)
 		return
 	}
 	c.send(&relMsg{latency: latency, maxRetries: maxRetries, apply: apply})
@@ -130,7 +130,7 @@ func (c *Controller) write(targets []*tofino.Pipeline, maxRetries int, apply fun
 		return
 	}
 	if !c.armed() {
-		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, c.cfg.JitterFrac), func() {
+		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
 			for _, pl := range targets {
 				apply(pl)
 			}

@@ -46,8 +46,6 @@ type Figure3Config struct {
 	// SkipStatic marks the static-table case n/a (the paper does
 	// this for the DNS dataset).
 	SkipStatic bool
-	// GzipLevel for the baseline (0 = default level).
-	GzipLevel int
 }
 
 func (c Figure3Config) withDefaults() Figure3Config {
@@ -88,7 +86,7 @@ func Figure3(ds *trace.Trace, cfg Figure3Config) (Figure3Result, error) {
 	}
 	res.Cases = append(res.Cases, dynamic)
 
-	gz, err := baseline.GzipSize(ds, cfg.GzipLevel)
+	gz, err := baseline.GzipSize(ds)
 	if err != nil {
 		return res, fmt.Errorf("gzip: %w", err)
 	}

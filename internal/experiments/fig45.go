@@ -58,40 +58,41 @@ type Figure4Cell struct {
 	Mpps *stats.Sample
 }
 
-// Figure4Config parameterises the throughput experiment.
+// The paper's sweep axes and testbed constants.
+var (
+	allOps         = []Op{OpNoOp, OpEncode, OpDecode}
+	fig4FrameSizes = []int{64, 1500, 9000}
+)
+
+const (
+	// generatorPPS is the server traffic-generator ceiling, the
+	// paper's observed bottleneck.
+	generatorPPS = 7_000_000
+	// probeGapNs spaces Figure 5's probes so one is in flight at a
+	// time; probeFrameSize is their size.
+	probeGapNs     = 10 * netsim.Microsecond
+	probeFrameSize = 64
+)
+
+// Figure4Config parameterises the throughput experiment: every
+// operation on 64, 1500 and 9000-byte frames.
 type Figure4Config struct {
-	// FrameSizes to sweep (default 64, 1500, 9000 — the paper's).
-	FrameSizes []int
-	// Ops to sweep (default no-op, encode, decode).
-	Ops []Op
 	// WindowNs is the measured traffic window per run (default
 	// 20 ms; the paper transfers for 10 s, which only narrows the
 	// confidence intervals).
 	WindowNs netsim.Time
 	// Repeats per cell (default 10, as in the paper).
 	Repeats int
-	// GeneratorPPS is the server traffic-generator ceiling (default
-	// 7 Mpkt/s, the paper's observed bottleneck).
-	GeneratorPPS float64
 	// Seed bases the per-repeat seeds.
 	Seed int64
 }
 
 func (c Figure4Config) withDefaults() Figure4Config {
-	if c.FrameSizes == nil {
-		c.FrameSizes = []int{64, 1500, 9000}
-	}
-	if c.Ops == nil {
-		c.Ops = []Op{OpNoOp, OpEncode, OpDecode}
-	}
 	if c.WindowNs == 0 {
 		c.WindowNs = 20 * netsim.Millisecond
 	}
 	if c.Repeats == 0 {
 		c.Repeats = 10
-	}
-	if c.GeneratorPPS == 0 {
-		c.GeneratorPPS = 7_000_000
 	}
 	if c.Seed == 0 {
 		c.Seed = 23
@@ -104,8 +105,8 @@ func (c Figure4Config) withDefaults() Figure4Config {
 func Figure4(cfg Figure4Config) ([]Figure4Cell, error) {
 	cfg = cfg.withDefaults()
 	var out []Figure4Cell
-	for _, op := range cfg.Ops {
-		for _, size := range cfg.FrameSizes {
+	for _, op := range allOps {
+		for _, size := range fig4FrameSizes {
 			cell := Figure4Cell{Op: op, FrameSize: size, Gbps: stats.New(), Mpps: stats.New()}
 			for rep := 0; rep < cfg.Repeats; rep++ {
 				gbps, mpps, err := fig4Run(cfg, op, size, cfg.Seed+int64(rep)*1001)
@@ -122,7 +123,7 @@ func Figure4(cfg Figure4Config) ([]Figure4Cell, error) {
 }
 
 func fig4Run(cfg Figure4Config, op Op, frameSize int, seed int64) (gbps, mpps float64, err error) {
-	sc, err := buildFixed(fixture("fig4", seed, op.role(), cfg.GeneratorPPS))
+	sc, err := buildFixed(fixture("fig4", seed, op.role(), generatorPPS))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -197,32 +198,18 @@ type Figure5Cell struct {
 	RTTMicros *stats.Sample
 }
 
-// Figure5Config parameterises the latency experiment.
+// Figure5Config parameterises the latency experiment: 64-byte
+// probes, one in flight at a time, through every operation.
 type Figure5Config struct {
-	// Ops to sweep (default all three).
-	Ops []Op
 	// Probes per operation (default 1000).
 	Probes int
-	// GapNs between probes (default 10 µs: one in flight at a time).
-	GapNs netsim.Time
-	// FrameSize of the probe frames (default 64 B).
-	FrameSize int
 	// Seed bases the run's jitter.
 	Seed int64
 }
 
 func (c Figure5Config) withDefaults() Figure5Config {
-	if c.Ops == nil {
-		c.Ops = []Op{OpNoOp, OpEncode, OpDecode}
-	}
 	if c.Probes == 0 {
 		c.Probes = 1000
-	}
-	if c.GapNs == 0 {
-		c.GapNs = 10 * netsim.Microsecond
-	}
-	if c.FrameSize == 0 {
-		c.FrameSize = 64
 	}
 	if c.Seed == 0 {
 		c.Seed = 31
@@ -236,14 +223,14 @@ func (c Figure5Config) withDefaults() Figure5Config {
 func Figure5(cfg Figure5Config) ([]Figure5Cell, error) {
 	cfg = cfg.withDefaults()
 	var out []Figure5Cell
-	for _, op := range cfg.Ops {
+	for _, op := range allOps {
 		spec := fixture("fig5", cfg.Seed, op.role(), 0)
 		spec.Switches[0].Ports[0].Out = 0 // back to the sender
 		sc, err := buildFixed(spec)
 		if err != nil {
 			return nil, err
 		}
-		frame, err := testFrame(sc, op, cfg.FrameSize)
+		frame, err := testFrame(sc, op, probeFrameSize)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +247,7 @@ func Figure5(cfg Figure5Config) ([]Figure5Cell, error) {
 		sender.OnReceive = func(f []byte, at netsim.Time) {
 			cell.RTTMicros.Add(float64(at-sentAt) / 1e3)
 			if cell.RTTMicros.N() < cfg.Probes {
-				sc.Sim.After(cfg.GapNs, probe)
+				sc.Sim.After(probeGapNs, probe)
 			}
 		}
 		sc.Sim.At(0, probe)

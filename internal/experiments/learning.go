@@ -21,12 +21,6 @@ type LearningResult struct {
 type LearningConfig struct {
 	// Repeats (default 10, as in the paper).
 	Repeats int
-	// GeneratorPPS: "we repeatedly send the same data packet as fast
-	// as possible" (default 7 Mpkt/s).
-	GeneratorPPS float64
-	// WindowNs bounds each run (default 20 ms, comfortably past the
-	// expected delay).
-	WindowNs netsim.Time
 	// Seed bases per-repeat seeds.
 	Seed int64
 }
@@ -35,32 +29,31 @@ func (c LearningConfig) withDefaults() LearningConfig {
 	if c.Repeats == 0 {
 		c.Repeats = 10
 	}
-	if c.GeneratorPPS == 0 {
-		c.GeneratorPPS = 7_000_000
-	}
-	if c.WindowNs == 0 {
-		c.WindowNs = 20 * netsim.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 41
 	}
 	return c
 }
 
+// learningWindowNs bounds each run, comfortably past the expected
+// delay.
+const learningWindowNs = 20 * netsim.Millisecond
+
 // Learning measures the dynamic-learning delay on the scenario
 // engine: one unified encode switch, one repeated unknown payload per
-// repeat, receiver-side first-t3 minus first-t2.
+// repeat ("we repeatedly send the same data packet as fast as
+// possible": generatorPPS), receiver-side first-t3 minus first-t2.
 func Learning(cfg LearningConfig) (LearningResult, error) {
 	cfg = cfg.withDefaults()
 	res := LearningResult{DelayMs: stats.New()}
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		seed := cfg.Seed + int64(rep)*7919
-		spec := fixture("learning", seed, scenario.RoleEncode, cfg.GeneratorPPS)
+		spec := fixture("learning", seed, scenario.RoleEncode, generatorPPS)
 		spec.Traffic = []scenario.TrafficSpec{{
 			From: "sender", To: "sink",
 			Workload: scenario.WorkloadRepeat,
 			Records:  1 << 30, // the window, not the count, ends the flow
-			StopNs:   int64(cfg.WindowNs),
+			StopNs:   int64(learningWindowNs),
 			Seed:     seed,
 		}}
 		sc, err := scenario.Build(spec)

@@ -67,13 +67,6 @@ func (c *Codec) BasisBits() int { return c.t.BasisBits() }
 // DeviationBits returns the deviation width in bits.
 func (c *Codec) DeviationBits() int { return c.t.DeviationBits() }
 
-// EncodedBits returns the total bits of a Split when serialised
-// without padding: extra + deviation + basis. One plus the paper's
-// "syndrome + basis" type-2 payload content.
-func (c *Codec) EncodedBits() int {
-	return c.extraBits + c.t.DeviationBits() + c.t.BasisBits()
-}
-
 // SplitChunk encodes one chunk of exactly ChunkBytes bytes.
 func (c *Codec) SplitChunk(chunk []byte) (Split, error) {
 	var s Split

@@ -7,65 +7,45 @@ import (
 )
 
 // The Hamming transform takes the codec's fast path; these tests pin
-// the generic path using the other transforms.
-
-func TestCodecGenericPathIdentity(t *testing.T) {
-	// Identity over a 256-bit word: no extra bits at all.
-	c := NewCodec(Identity{Bits: 256})
-	if c.ExtraBits() != 0 || c.ChunkBytes() != 32 {
-		t.Fatalf("geometry: extra=%d chunk=%d", c.ExtraBits(), c.ChunkBytes())
-	}
-	if c.DeviationBits() != 0 {
-		t.Fatalf("deviation = %d", c.DeviationBits())
-	}
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 30; trial++ {
-		chunk := make([]byte, 32)
-		rng.Read(chunk)
-		s, err := c.SplitChunk(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := c.MergeChunk(s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, chunk) {
-			t.Fatal("identity codec round trip failed")
-		}
-	}
-	// Errors on the generic path.
-	if _, err := c.SplitChunk(make([]byte, 31)); err == nil {
-		t.Error("short chunk accepted")
-	}
-}
+// the generic path using the bit-extraction transform.
 
 func TestCodecGenericPathLowBits(t *testing.T) {
-	// LowBits over a 253-bit word: 3 extra bits ride along.
-	c := NewCodec(LowBits{Bits: 253, Dev: 13})
-	if c.ExtraBits() != 3 || c.ChunkBytes() != 32 {
-		t.Fatalf("geometry: extra=%d chunk=%d", c.ExtraBits(), c.ChunkBytes())
-	}
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		chunk := make([]byte, 32)
-		rng.Read(chunk)
-		s, err := c.SplitChunk(chunk)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		tr        LowBits
+		extraBits int
+	}{
+		{LowBits{Bits: 253, Dev: 13}, 3}, // 3 extra bits ride along
+		{LowBits{Bits: 256, Dev: 16}, 0}, // a whole number of bytes: none
+	} {
+		c := NewCodec(tc.tr)
+		if c.ExtraBits() != tc.extraBits || c.ChunkBytes() != 32 {
+			t.Fatalf("%s geometry: extra=%d chunk=%d", tc.tr, c.ExtraBits(), c.ChunkBytes())
 		}
-		if s.Basis.Len() != 240 {
-			t.Fatalf("basis = %d bits", s.Basis.Len())
+		rng := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 50; trial++ {
+			chunk := make([]byte, 32)
+			rng.Read(chunk)
+			s, err := c.SplitChunk(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Basis.Len() != 240 {
+				t.Fatalf("%s: basis = %d bits", tc.tr, s.Basis.Len())
+			}
+			out, err := c.MergeChunk(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, chunk) {
+				t.Fatalf("%s trial %d: lowbits codec round trip failed", tc.tr, trial)
+			}
 		}
-		out, err := c.MergeChunk(s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, chunk) {
-			t.Fatalf("trial %d: lowbits codec round trip failed", trial)
+		if _, err := c.SplitChunk(make([]byte, 31)); err == nil {
+			t.Errorf("%s: short chunk accepted", tc.tr)
 		}
 	}
 	// Extra wider than 3 bits must be rejected by the generic merge.
+	c := NewCodec(LowBits{Bits: 253, Dev: 13})
 	s, _ := c.SplitChunk(make([]byte, 32))
 	s.Extra = 0x09
 	if _, err := c.MergeChunk(s, nil); err == nil {
@@ -81,12 +61,8 @@ func TestTransformAccessors(t *testing.T) {
 	if h.Code() == nil || h.Code().N() != 255 {
 		t.Fatal("Code accessor broken")
 	}
-	if h.String() == "" || (Identity{Bits: 8}).String() == "" || (LowBits{Bits: 8, Dev: 2}).String() == "" {
+	if h.String() == "" || (LowBits{Bits: 8, Dev: 2}).String() == "" {
 		t.Fatal("Stringers broken")
-	}
-	id := Identity{Bits: 8}
-	if id.WordBits() != 8 || id.BasisBits() != 8 || id.DeviationBits() != 0 {
-		t.Fatal("identity geometry broken")
 	}
 	lb := LowBits{Bits: 16, Dev: 5}
 	if lb.WordBits() != 16 || lb.BasisBits() != 11 || lb.DeviationBits() != 5 {
@@ -99,15 +75,6 @@ func TestTransformAccessors(t *testing.T) {
 	if _, err := NewHammingM(99); err == nil {
 		t.Fatal("NewHammingM(99) accepted")
 	}
-}
-
-func TestIdentitySplitPanicsOnWrongLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Identity{Bits: 8}.Split(randomVector(rand.New(rand.NewSource(1)), 9))
 }
 
 func TestLowBitsSplitPanicsOnWrongLength(t *testing.T) {

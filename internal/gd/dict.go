@@ -211,9 +211,6 @@ func (d *Dictionary) Reset() {
 // IDBits returns the identifier width in bits.
 func (d *Dictionary) IDBits() int { return d.idBits }
 
-// FrozenLen returns the size of the shared frozen prefix (0 without one).
-func (d *Dictionary) FrozenLen() int { return int(d.base) }
-
 // Capacity returns the number of identifier slots, 2^IDBits.
 func (d *Dictionary) Capacity() int { return 1 << uint(d.idBits) }
 

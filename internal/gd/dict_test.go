@@ -184,8 +184,8 @@ func TestFrozenPrefixLookupAndInsert(t *testing.T) {
 		t.Fatalf("frozen len = %d, want 2 (dup collapsed)", frozen.Len())
 	}
 	d := NewDictionaryFrozen(2, frozen) // 4 slots: 2 frozen + 2 dynamic
-	if d.FrozenLen() != 2 {
-		t.Fatalf("frozen prefix = %d", d.FrozenLen())
+	if d.base != 2 {
+		t.Fatalf("frozen prefix = %d", d.base)
 	}
 	if id, ok := d.Lookup(fb); !ok || id != 1 {
 		t.Fatalf("frozen lookup = %d,%v want 1,true", id, ok)

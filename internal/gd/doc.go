@@ -8,12 +8,12 @@
 // deviation, so the original data can always be reconstructed.
 //
 // The paper's transformation is a Hamming-code decode step whose
-// syndrome doubles as the deviation; this package also provides the
-// identity transform (classic deduplication, used as a baseline) and
-// a bit-extraction transform in the spirit of the bit-swapping
+// syndrome doubles as the deviation; this package also provides a
+// bit-extraction transform in the spirit of the bit-swapping
 // future-work reference [37]. The BCH transform from the paper's
 // future work lives in zipline/internal/bch and plugs into the same
-// interface.
+// interface. Classic deduplication, the baseline, needs no transform:
+// baseline.DedupSize with a nil codec keys whole records.
 //
 // Dictionary and Frozen (dict.go) keep their bases in a slab: the bytes
 // packed at a fixed stride, a hash and two LRU links per entry, all in

@@ -104,45 +104,6 @@ func (h *Hamming) String() string {
 	return fmt.Sprintf("gd-hamming(%d,%d)", h.code.N(), h.code.K())
 }
 
-// Identity is classic deduplication dressed as a GD transform: the
-// basis is the whole word and the deviation is empty. Only exactly
-// repeated words deduplicate. It is the baseline that quantifies what
-// the Hamming transformation adds.
-type Identity struct {
-	Bits int // word length
-}
-
-// WordBits returns the configured word length.
-func (t Identity) WordBits() int { return t.Bits }
-
-// BasisBits equals WordBits: nothing is factored out.
-func (t Identity) BasisBits() int { return t.Bits }
-
-// DeviationBits is zero.
-func (t Identity) DeviationBits() int { return 0 }
-
-// Split returns the word itself as basis.
-func (t Identity) Split(word *bitvec.Vector) (*bitvec.Vector, uint32) {
-	if word.Len() != t.Bits {
-		panic(fmt.Sprintf("gd: word length %d != %d", word.Len(), t.Bits))
-	}
-	return word.Clone(), 0
-}
-
-// Merge returns the basis itself.
-func (t Identity) Merge(basis *bitvec.Vector, deviation uint32) (*bitvec.Vector, error) {
-	if basis.Len() != t.Bits {
-		return nil, fmt.Errorf("gd: basis length %d != %d", basis.Len(), t.Bits)
-	}
-	if deviation != 0 {
-		return nil, fmt.Errorf("gd: identity transform has no deviation, got %#x", deviation)
-	}
-	return basis.Clone(), nil
-}
-
-// String implements fmt.Stringer.
-func (t Identity) String() string { return fmt.Sprintf("dedup(%d)", t.Bits) }
-
 // LowBits extracts the d lowest-order (rightmost) bits of the word as
 // the deviation and keeps the rest as the basis. For time-series data
 // whose low bits are sensor noise this clusters readings onto shared

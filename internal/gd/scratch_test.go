@@ -14,7 +14,6 @@ import (
 func TestScratchAPIsMatchAllocating(t *testing.T) {
 	transforms := []Transform{
 		mustHamming(3), mustHamming(5), mustHamming(8),
-		Identity{Bits: 64},
 		LowBits{Bits: 64, Dev: 5},
 	}
 	for _, tr := range transforms {

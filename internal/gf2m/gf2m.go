@@ -77,15 +77,6 @@ func (f *Field) Alpha(i int) uint32 {
 	return f.exp[i]
 }
 
-// Log returns i such that α^i = x. It panics on zero, which has no
-// logarithm.
-func (f *Field) Log(x uint32) int {
-	if x == 0 || int(x) >= f.size {
-		panic(fmt.Sprintf("gf2m: Log(%#x) undefined", x))
-	}
-	return int(f.log[x])
-}
-
 // Add returns a + b (XOR in characteristic two).
 func (f *Field) Add(a, b uint32) uint32 { return a ^ b }
 
@@ -97,14 +88,6 @@ func (f *Field) Mul(a, b uint32) uint32 {
 	return f.exp[f.log[a]+f.log[b]]
 }
 
-// Inv returns a^{-1}; it panics on zero.
-func (f *Field) Inv(a uint32) uint32 {
-	if a == 0 {
-		panic("gf2m: inverse of zero")
-	}
-	return f.exp[f.Order()-int(f.log[a])]
-}
-
 // Div returns a/b; it panics when b is zero.
 func (f *Field) Div(a, b uint32) uint32 {
 	if b == 0 {
@@ -114,21 +97,6 @@ func (f *Field) Div(a, b uint32) uint32 {
 		return 0
 	}
 	l := int(f.log[a]) - int(f.log[b])
-	if l < 0 {
-		l += f.Order()
-	}
-	return f.exp[l]
-}
-
-// Pow returns a^e (with 0^0 = 1).
-func (f *Field) Pow(a uint32, e int) uint32 {
-	if a == 0 {
-		if e == 0 {
-			return 1
-		}
-		return 0
-	}
-	l := (int(f.log[a]) * e) % f.Order()
 	if l < 0 {
 		l += f.Order()
 	}

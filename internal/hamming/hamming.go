@@ -193,13 +193,8 @@ func (c *Code) K() int { return c.k }
 // CRC extern programmed with this code's polynomial).
 func (c *Code) Engine() *crc.Engine { return c.eng }
 
-// Syndrome computes the m-bit syndrome of an n-bit word given as raw
-// bytes (wire order, n bits). It equals CRC-m(word) by construction.
-func (c *Code) Syndrome(data []byte) uint32 {
-	return c.eng.Remainder(data, c.n)
-}
-
-// SyndromeVector is Syndrome for a bit vector; v must be n bits long.
+// SyndromeVector computes the m-bit syndrome of an n-bit word. It
+// equals CRC-m(word) by construction.
 func (c *Code) SyndromeVector(v *bitvec.Vector) uint32 {
 	if v.Len() != c.n {
 		panic(fmt.Sprintf("hamming: word length %d != n=%d", v.Len(), c.n))
@@ -263,11 +258,6 @@ func (c *Code) Encode(msg *bitvec.Vector) *bitvec.Vector {
 	w.WriteUint(uint64(p), c.m)
 	w.WriteVector(msg)
 	return bitvec.FromBytes(w.Bytes(), c.n)
-}
-
-// IsCodeword reports whether the n-bit word has syndrome zero.
-func (c *Code) IsCodeword(v *bitvec.Vector) bool {
-	return c.SyndromeVector(v) == 0
 }
 
 // Decode corrects up to one bit error in the received n-bit word and

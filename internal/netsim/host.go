@@ -14,37 +14,21 @@ type HostConfig struct {
 	// around 7 Mpkt/s ("bottlenecked at around 7 Mpkt/s by the server
 	// generating the traffic"); zero means unlimited (line rate).
 	MaxPPS float64
-	// TxLatencyNs is the fixed host-side cost from the application's
-	// send to the first bit entering the NIC (driver + PCIe + NIC
-	// pipeline). Default 1500 ns.
-	TxLatencyNs Time
-	// RxLatencyNs is the symmetric receive-side cost. Default 1500 ns.
-	RxLatencyNs Time
-	// LatencyJitterFrac adds uniform ±fraction noise to the host
-	// latencies (measurement noise). Default 0.05.
-	LatencyJitterFrac float64
 }
 
-// Default host latency parameters, calibrated so that the no-op RTT
-// lands in the single-digit-microsecond band of paper Figure 5.
+// Host latency parameters, calibrated so that the no-op RTT lands in
+// the single-digit-microsecond band of paper Figure 5.
 const (
-	DefaultTxLatencyNs = 1500
-	DefaultRxLatencyNs = 1500
-	defaultHostJitter  = 0.05
+	// hostTxLatencyNs is the fixed host-side cost from the
+	// application's send to the first bit entering the NIC (driver +
+	// PCIe + NIC pipeline); hostRxLatencyNs the symmetric receive-side
+	// cost.
+	hostTxLatencyNs Time = 1500
+	hostRxLatencyNs Time = 1500
+	// hostJitterFrac adds uniform ±fraction noise to both (measurement
+	// noise).
+	hostJitterFrac = 0.05
 )
-
-func (c HostConfig) withDefaults() HostConfig {
-	if c.TxLatencyNs == 0 {
-		c.TxLatencyNs = DefaultTxLatencyNs
-	}
-	if c.RxLatencyNs == 0 {
-		c.RxLatencyNs = DefaultRxLatencyNs
-	}
-	if c.LatencyJitterFrac == 0 {
-		c.LatencyJitterFrac = defaultHostJitter
-	}
-	return c
-}
 
 // RxStats aggregates what a host has received, bucketed the way the
 // compression experiment needs (payload bytes per ZipLine packet
@@ -80,35 +64,25 @@ type Host struct {
 
 // NewHost builds a host and attaches it to its NIC endpoint.
 func NewHost(sim *Sim, cfg HostConfig, nic *Endpoint) *Host {
-	h := &Host{sim: sim, cfg: cfg.withDefaults(), nic: nic}
-	h.resetRxMarks()
-	nic.SetReceiver(h.receive)
-	return h
-}
-
-func (h *Host) resetRxMarks() {
+	h := &Host{sim: sim, cfg: cfg, nic: nic}
 	for i := range h.rx.FirstArrival {
 		h.rx.FirstArrival[i] = -1
 	}
 	h.rx.FirstFrame = -1
+	nic.SetReceiver(h.receive)
+	return h
 }
 
-// Config returns the host configuration with defaults applied.
+// Config returns the host configuration.
 func (h *Host) Config() HostConfig { return h.cfg }
 
 // Rx returns a snapshot of receive statistics.
 func (h *Host) Rx() RxStats { return h.rx }
 
-// ResetRx clears receive statistics.
-func (h *Host) ResetRx() {
-	h.rx = RxStats{}
-	h.resetRxMarks()
-}
-
 func (h *Host) receive(frame []byte, at Time) {
 	// Host-side receive cost: the frame is visible to the
 	// application a little after the wire delivered it.
-	delay := h.sim.Jitter(h.cfg.RxLatencyNs, h.cfg.LatencyJitterFrac)
+	delay := h.sim.Jitter(hostRxLatencyNs, hostJitterFrac)
 	h.sim.After(delay, func() {
 		now := h.sim.Now()
 		h.rx.Frames++
@@ -134,7 +108,7 @@ func (h *Host) receive(frame []byte, at Time) {
 
 // Send transmits one frame, paying the host TX cost first.
 func (h *Host) Send(frame []byte) {
-	delay := h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac)
+	delay := h.sim.Jitter(hostTxLatencyNs, hostJitterFrac)
 	h.sim.After(delay, func() {
 		h.nic.Send(frame)
 	})
@@ -183,7 +157,7 @@ func (h *Host) StreamPaced(start, stop Time, pps float64, next func(i uint64) []
 		// The first frame pays the host TX cost; subsequent frames
 		// stream from the NIC without re-paying it (the generator
 		// keeps the NIC fed, as raw_ethernet_bw does).
-		h.sim.After(h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), tick)
+		h.sim.After(h.sim.Jitter(hostTxLatencyNs, hostJitterFrac), tick)
 	})
 }
 
@@ -230,6 +204,6 @@ func (h *Host) StreamTimed(start, stop Time, offsetAt func(i uint64) (Time, bool
 	}
 	h.sim.At(start, func() {
 		// Like StreamPaced, only the first frame pays the host TX cost.
-		h.sim.After(h.sim.Jitter(h.cfg.TxLatencyNs, h.cfg.LatencyJitterFrac), step)
+		h.sim.After(h.sim.Jitter(hostTxLatencyNs, hostJitterFrac), step)
 	})
 }

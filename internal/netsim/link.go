@@ -14,11 +14,9 @@ const WireOverheadBytes = 24
 type Impairments struct {
 	// LossProb drops a frame after serialization, i.i.d.
 	LossProb float64
-	// DupProb delivers a second copy of a frame, DupDelayNs after the
+	// DupProb delivers a second copy of a frame, 2 µs after the
 	// original (a retransmitting segment or an L2 loop).
 	DupProb float64
-	// DupDelayNs spaces the duplicate copy (default 2 µs).
-	DupDelayNs Time
 	// ReorderProb holds a frame back by ReorderDelayNs so later frames
 	// overtake it.
 	ReorderProb float64
@@ -30,17 +28,14 @@ type Impairments struct {
 	ExtraLatencyNs Time
 }
 
-// Default impairment delays, applied when the matching probability is
-// positive but the delay is left zero.
-const (
-	DefaultDupDelayNs     = 2 * Microsecond
-	DefaultReorderDelayNs = 5 * Microsecond
-)
+// dupDelayNs spaces a duplicate copy from its original.
+const dupDelayNs = 2 * Microsecond
+
+// DefaultReorderDelayNs applies when ReorderProb is positive but the
+// delay is left zero.
+const DefaultReorderDelayNs = 5 * Microsecond
 
 func (im Impairments) withDefaults() Impairments {
-	if im.DupProb > 0 && im.DupDelayNs == 0 {
-		im.DupDelayNs = DefaultDupDelayNs
-	}
 	if im.ReorderProb > 0 && im.ReorderDelayNs == 0 {
 		im.ReorderDelayNs = DefaultReorderDelayNs
 	}
@@ -187,7 +182,7 @@ func (e *Endpoint) Send(frame []byte) Time {
 		}
 		if im.DupProb > 0 && rng.Float64() < im.DupProb {
 			e.Stats.Duplicated++
-			e.deliver(frame, arrive+im.DupDelayNs)
+			e.deliver(frame, arrive+dupDelayNs)
 		}
 	}
 	e.deliver(frame, arrive)

@@ -334,18 +334,6 @@ func TestSwitchDigestTap(t *testing.T) {
 	}
 }
 
-func TestHostResetRx(t *testing.T) {
-	s := NewSim(1)
-	ha, _, hb := buildHostSwitchHost(t, s, noopProgram{}, HostConfig{})
-	frame := packet.Frame(packet.Header{EtherType: packet.EtherTypeRaw}, make([]byte, 32))
-	s.At(0, func() { ha.Send(frame) })
-	s.Run()
-	hb.ResetRx()
-	if hb.Rx().Frames != 0 || hb.Rx().FirstArrival[1] != -1 {
-		t.Fatalf("reset incomplete: %+v", hb.Rx())
-	}
-}
-
 func TestLinkLoss(t *testing.T) {
 	s := NewSim(5)
 	a, b := NewLink(s, LinkConfig{Impair: Impairments{LossProb: 0.3}}, "a", "b")

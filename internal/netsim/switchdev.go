@@ -16,20 +16,17 @@ type SwitchConfig struct {
 	// indistinguishable from no-op in Figures 4 and 5. Default
 	// 600 ns (typical published Tofino cut-through figure).
 	PipelineLatencyNs Time
-	// LatencyJitterFrac adds uniform noise to the traversal time.
-	// Default 0.02.
-	LatencyJitterFrac float64
 }
 
 // DefaultPipelineLatencyNs is the default switch traversal latency.
 const DefaultPipelineLatencyNs = 600
 
+// pipelineJitterFrac adds uniform noise to the traversal time.
+const pipelineJitterFrac = 0.02
+
 func (c SwitchConfig) withDefaults() SwitchConfig {
 	if c.PipelineLatencyNs == 0 {
 		c.PipelineLatencyNs = DefaultPipelineLatencyNs
-	}
-	if c.LatencyJitterFrac == 0 {
-		c.LatencyJitterFrac = 0.02
 	}
 	return c
 }
@@ -98,7 +95,7 @@ func (sw *Switch) ingress(p tofino.Port, frame []byte) {
 	}
 	// Constant traversal latency, independent of what the program
 	// does with the packet.
-	d := sw.sim.Jitter(sw.cfg.PipelineLatencyNs, sw.cfg.LatencyJitterFrac)
+	d := sw.sim.Jitter(sw.cfg.PipelineLatencyNs, pipelineJitterFrac)
 	sw.sim.After(d, func() {
 		if sw.down {
 			// Crashed mid-traversal: the packet is lost with the

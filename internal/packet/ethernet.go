@@ -56,19 +56,6 @@ func TypeOf(etherType uint16) Type {
 	}
 }
 
-// EtherTypeFor maps a packet type back to its EtherType. Type 1 maps
-// to EtherTypeRaw.
-func EtherTypeFor(t Type) uint16 {
-	switch t {
-	case TypeUncompressed:
-		return EtherTypeUncompressed
-	case TypeCompressed:
-		return EtherTypeCompressed
-	default:
-		return EtherTypeRaw
-	}
-}
-
 // MAC is a 48-bit Ethernet address.
 type MAC [6]byte
 
@@ -79,10 +66,6 @@ func (m MAC) String() string {
 
 // HeaderLen is the length of an Ethernet II header (no 802.1Q).
 const HeaderLen = 14
-
-// MinPayload is the minimum Ethernet payload (frames are padded to 60
-// bytes before the FCS).
-const MinPayload = 46
 
 // Header is an Ethernet II header.
 type Header struct {

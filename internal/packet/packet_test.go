@@ -60,11 +60,6 @@ func TestTypeMapping(t *testing.T) {
 			t.Errorf("TypeOf(%#x) = %v, want %v", c.et, got, c.want)
 		}
 	}
-	for _, typ := range []Type{TypeRaw, TypeUncompressed, TypeCompressed} {
-		if typ != TypeRaw && TypeOf(EtherTypeFor(typ)) != typ {
-			t.Errorf("EtherTypeFor round trip failed for %v", typ)
-		}
-	}
 	if Type(9).String() != "type9/invalid" {
 		t.Error("invalid type string")
 	}

@@ -335,6 +335,7 @@ func (sc *Scenario) attachTraffic(idx int, tr TrafficSpec, chunkBytes int) error
 		records = DefaultTrafficRecords
 	}
 	var payload func(i int) []byte
+	var offsets []netsim.Time // departure times, for a capture replayed at its own timing
 	switch tr.Workload {
 	case WorkloadRepeat:
 		p := make([]byte, chunkBytes)
@@ -351,13 +352,44 @@ func (sc *Scenario) attachTraffic(idx int, tr TrafficSpec, chunkBytes int) error
 		ds := trace.DNS(trace.DNSConfig{Queries: records, Seed: seed})
 		payload = ds.Record
 	case WorkloadTrace:
-		return sc.attachTraceTraffic(tr)
+		// The capture supplies payloads (headers are rebuilt with the
+		// scenario's MACs, so a tracegen pcap behaves exactly like its
+		// synthetic counterpart). It runs for its own length by
+		// default and wraps when asked for more, unless its
+		// timestamps pace it.
+		rt, err := loadReplayTrace(tr.Trace)
+		if err != nil {
+			return err
+		}
+		if tr.Records == 0 || (tr.TraceTiming && records > len(rt.payloads)) {
+			records = len(rt.payloads)
+		}
+		payload = func(i int) []byte { return rt.payloads[i%len(rt.payloads)] }
+		if tr.TraceTiming {
+			offsets = rt.offsets
+		}
 	default:
 		return fmt.Errorf("unknown workload %q", tr.Workload)
 	}
 
 	host := sc.hosts[tr.From]
 	hdr := packet.Header{Dst: sc.macs[tr.To], Src: sc.macs[tr.From], EtherType: packet.EtherTypeRaw}
+	emit := func(i uint64) []byte {
+		p := payload(int(i))
+		sc.offeredFrames++
+		sc.offeredPayload += uint64(len(p))
+		return packet.Frame(hdr, p)
+	}
+	if offsets != nil {
+		host.StreamTimed(netsim.Time(tr.StartNs), netsim.Time(tr.StopNs),
+			func(i uint64) (netsim.Time, bool) {
+				if i >= uint64(records) {
+					return 0, false
+				}
+				return offsets[i], true
+			}, emit)
+		return nil
+	}
 	pps := tr.PPS
 	if pps == 0 {
 		pps = host.Config().MaxPPS
@@ -366,10 +398,7 @@ func (sc *Scenario) attachTraffic(idx int, tr TrafficSpec, chunkBytes int) error
 		if i >= uint64(records) {
 			return nil
 		}
-		p := payload(int(i))
-		sc.offeredFrames++
-		sc.offeredPayload += uint64(len(p))
-		return packet.Frame(hdr, p)
+		return emit(i)
 	})
 	return nil
 }

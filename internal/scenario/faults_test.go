@@ -268,7 +268,7 @@ func TestFaultScheduleHammer(t *testing.T) {
 				}
 				// Re-convergence: every quarantine was released...
 				for _, name := range spec.switchNames() {
-					if zswitch.Bypassing(sc.Pipeline(name)) {
+					if sc.Pipeline(name).Program().(*zswitch.Program).Bypassing() {
 						t.Fatalf("switch %s still bypassing at end of run", name)
 					}
 				}

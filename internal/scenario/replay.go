@@ -113,52 +113,3 @@ func readReplayTrace(path string) (*replayTrace, error) {
 	}
 	return rt, nil
 }
-
-// attachTraceTraffic schedules one trace-replay flow. The capture
-// supplies payloads (headers are rebuilt with the scenario's MACs, so
-// a tracegen pcap behaves exactly like its synthetic counterpart);
-// pacing comes from PPS like every other workload, or from the
-// capture's own timestamps when TraceTiming is set.
-func (sc *Scenario) attachTraceTraffic(tr TrafficSpec) error {
-	rt, err := loadReplayTrace(tr.Trace)
-	if err != nil {
-		return err
-	}
-	records := tr.Records
-	if records == 0 || (tr.TraceTiming && records > len(rt.payloads)) {
-		records = len(rt.payloads)
-	}
-
-	host := sc.hosts[tr.From]
-	hdr := packet.Header{Dst: sc.macs[tr.To], Src: sc.macs[tr.From], EtherType: packet.EtherTypeRaw}
-	emit := func(i uint64) []byte {
-		p := rt.payloads[int(i)%len(rt.payloads)]
-		sc.offeredFrames++
-		sc.offeredPayload += uint64(len(p))
-		return packet.Frame(hdr, p)
-	}
-
-	if tr.TraceTiming {
-		host.StreamTimed(netsim.Time(tr.StartNs), netsim.Time(tr.StopNs),
-			func(i uint64) (netsim.Time, bool) {
-				if i >= uint64(records) {
-					return 0, false
-				}
-				return rt.offsets[i], true
-			},
-			func(i uint64) []byte { return emit(i) })
-		return nil
-	}
-
-	pps := tr.PPS
-	if pps == 0 {
-		pps = host.Config().MaxPPS
-	}
-	host.StreamPaced(netsim.Time(tr.StartNs), netsim.Time(tr.StopNs), pps, func(i uint64) []byte {
-		if i >= uint64(records) {
-			return nil
-		}
-		return emit(i)
-	})
-	return nil
-}

@@ -55,34 +55,6 @@ func (s *Sample) Stddev() float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Min returns the smallest measurement.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest measurement.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
 // interpolation.
 func (s *Sample) Percentile(p float64) float64 {

@@ -18,9 +18,6 @@ type Options struct {
 	// self-contained deterministic simulation, so the matrix is
 	// byte-identical for every worker count.
 	Workers int
-	// Progress, when set, observes each completed cell (called from
-	// worker goroutines; done counts completions, not indices).
-	Progress func(done, total int)
 }
 
 // Derived is the per-cell analysis row: the headline columns the
@@ -80,7 +77,7 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 
 	results := make([]CellResult, len(cells))
 	cellErrs := make([]error, len(cells))
-	var next, done atomic.Int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -92,9 +89,6 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 					return
 				}
 				results[i], cellErrs[i] = runCell(cells[i])
-				if opt.Progress != nil {
-					opt.Progress(int(done.Add(1)), len(cells))
-				}
 			}
 		}()
 	}

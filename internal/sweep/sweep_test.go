@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"zipline/internal/packet"
@@ -299,26 +298,6 @@ func TestRunDerivedColumns(t *testing.T) {
 		if d.GoodputGbps <= 0 || d.DigestOverhead <= 0 {
 			t.Errorf("cell %d: goodput %v, digest overhead %v", i, d.GoodputGbps, d.DigestOverhead)
 		}
-	}
-}
-
-// TestRunProgress: every completed cell reports once.
-func TestRunProgress(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	spec := smokeSpec()
-	if _, err := Run(spec, Options{Workers: 2, Progress: func(done, total int) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		if total != 4 || done < 1 || done > 4 {
-			t.Errorf("progress(%d, %d)", done, total)
-		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 4 {
-		t.Fatalf("progress called %d times, want 4", calls)
 	}
 }
 

@@ -10,7 +10,7 @@
 //     notify the control plane, as TNA provides;
 //   - digests, the data-plane→control-plane message channel used to
 //     report unknown bases;
-//   - registers and counters;
+//   - counters;
 //   - an SRAM resource model that bounds table sizes the way the
 //     hardware does (the reason the paper settles on 15-bit IDs).
 //

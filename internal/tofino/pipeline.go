@@ -24,10 +24,9 @@ type Digest struct {
 }
 
 // Program is the P4 program loaded into a pipeline. Declare runs once
-// at load time and must allocate every table, register and counter
-// the program will touch; Process runs per packet and may only reach
-// state through the Ctx. This mirrors how P4 fixes all resources at
-// compile time.
+// at load time and must allocate every table and counter the program
+// will touch; Process runs per packet and may only reach state through
+// the Ctx. This mirrors how P4 fixes all resources at compile time.
 type Program interface {
 	// Name identifies the program in diagnostics.
 	Name() string
@@ -49,18 +48,16 @@ type Config struct {
 	Name string
 	// Ports is the number of front-panel ports (Wedge100BF-32X: 32).
 	Ports int
-	// SRAMBudgetBits bounds the total table SRAM a program may
-	// declare. The default (64 Mbit) approximates the share of a
-	// Tofino pipe available for MAU table data and is what makes the
-	// paper's 15-bit identifier the largest feasible aligned choice.
-	SRAMBudgetBits int64
 }
 
-// Defaults for Config fields left zero.
-const (
-	DefaultPorts          = 32
-	DefaultSRAMBudgetBits = 64 << 20 // 64 Mbit
-)
+// DefaultPorts is the port count of a Config that leaves Ports zero.
+const DefaultPorts = 32
+
+// sramBudgetBits bounds the total table SRAM a program may declare.
+// 64 Mbit approximates the share of a Tofino pipe available for MAU
+// table data and is what makes the paper's 15-bit identifier the
+// largest feasible aligned choice.
+const sramBudgetBits = 64 << 20
 
 // MaxTables bounds the tables one program may declare: the per-pass
 // applied set is a 64-bit mask, and a real Tofino pipe runs out of
@@ -77,11 +74,9 @@ type Pipeline struct {
 	prog Program
 
 	tables   []*Table
-	regs     [][]uint32
 	counters []uint64
 
 	tableIdx   map[string]int
-	regIdx     map[string]int
 	counterIdx map[string]int
 
 	digests []Digest
@@ -97,9 +92,6 @@ func Load(cfg Config, prog Program) (*Pipeline, error) {
 	if cfg.Ports == 0 {
 		cfg.Ports = DefaultPorts
 	}
-	if cfg.SRAMBudgetBits == 0 {
-		cfg.SRAMBudgetBits = DefaultSRAMBudgetBits
-	}
 	if cfg.Ports < 1 {
 		return nil, fmt.Errorf("tofino: %d ports", cfg.Ports)
 	}
@@ -107,15 +99,14 @@ func Load(cfg Config, prog Program) (*Pipeline, error) {
 		cfg:        cfg,
 		prog:       prog,
 		tableIdx:   make(map[string]int),
-		regIdx:     make(map[string]int),
 		counterIdx: make(map[string]int),
 	}
 	if err := prog.Declare(&Alloc{p: p}); err != nil {
 		return nil, fmt.Errorf("tofino: declaring %s: %w", prog.Name(), err)
 	}
-	if p.sram > cfg.SRAMBudgetBits {
+	if p.sram > sramBudgetBits {
 		return nil, fmt.Errorf("tofino: program %s needs %d SRAM bits, budget is %d",
-			prog.Name(), p.sram, cfg.SRAMBudgetBits)
+			prog.Name(), p.sram, sramBudgetBits)
 	}
 	return p, nil
 }
@@ -213,22 +204,6 @@ func (a *Alloc) Table(spec TableSpec) (TableHandle, error) {
 	return TableHandle{name: spec.Name, idx: len(a.p.tables) - 1}, nil
 }
 
-// Register allocates an array of 32-bit registers.
-func (a *Alloc) Register(name string, size int) (RegisterHandle, error) {
-	if size <= 0 {
-		return RegisterHandle{}, fmt.Errorf("tofino: register %s size %d", name, size)
-	}
-	if _, dup := a.p.regIdx[name]; dup {
-		return RegisterHandle{}, fmt.Errorf("tofino: duplicate register %q", name)
-	}
-	a.p.regIdx[name] = len(a.p.regs)
-	a.p.regs = append(a.p.regs, make([]uint32, size))
-	a.p.sram += int64(size) * 32
-	// Register handles are 1-based so the zero RegisterHandle is
-	// invalid rather than silently aliasing the first register.
-	return RegisterHandle{name: name, idx: len(a.p.regs)}, nil
-}
-
 // Counter allocates a named 64-bit counter. Counters are free in the
 // resource model (they live in dedicated stats SRAM on hardware).
 func (a *Alloc) Counter(name string) (CounterHandle, error) {
@@ -245,12 +220,6 @@ func (a *Alloc) Counter(name string) (CounterHandle, error) {
 // TableHandle is a program's reference to a declared table, resolved
 // to a dense index at Declare time.
 type TableHandle struct {
-	name string
-	idx  int
-}
-
-// RegisterHandle is a program's reference to a declared register.
-type RegisterHandle struct {
 	name string
 	idx  int
 }
@@ -306,25 +275,6 @@ func (c *Ctx) Count(h CounterHandle, n uint64) {
 		panic(fmt.Sprintf("tofino: undeclared counter %q", h.name))
 	}
 	c.p.counters[h.idx-1] += n
-}
-
-// checkReg validates a register handle against this pipeline.
-func (c *Ctx) checkReg(h RegisterHandle) []uint32 {
-	if h.idx < 1 || h.idx > len(c.p.regs) {
-		panic(fmt.Sprintf("tofino: undeclared register %q", h.name))
-	}
-	return c.p.regs[h.idx-1]
-}
-
-// ReadReg reads a register cell.
-func (c *Ctx) ReadReg(h RegisterHandle, idx int) uint32 {
-	return c.checkReg(h)[idx]
-}
-
-// WriteReg writes a register cell (registers, unlike tables, are
-// data-plane writable on Tofino).
-func (c *Ctx) WriteReg(h RegisterHandle, idx int, v uint32) {
-	c.checkReg(h)[idx] = v
 }
 
 // Digest queues a digest for the control plane.

@@ -148,21 +148,6 @@ func (t *Table) IdleTime(key string, now int64) (int64, bool) {
 	return now - e.lastHit, true
 }
 
-// LeastRecentlyHit returns the entry whose data-plane idle time is
-// longest (ties broken by key order for determinism). The control
-// plane uses it to pick eviction victims, the "LRU policy" of paper
-// §5. ok is false when the table is empty.
-func (t *Table) LeastRecentlyHit() (key string, lastHit int64, ok bool) {
-	first := true
-	for k, e := range t.entries {
-		if first || e.lastHit < lastHit || (e.lastHit == lastHit && k < key) {
-			key, lastHit, ok = k, e.lastHit, true
-			first = false
-		}
-	}
-	return
-}
-
 // sramBits is the table's cost in the resource model: each entry
 // burns key + action bits plus fixed per-entry overhead (match
 // overhead, version bits, pointers), approximated at 64 bits.

@@ -11,7 +11,6 @@ type echoProg struct {
 	tbl    TableHandle
 	hits   CounterHandle
 	misses CounterHandle
-	reg    RegisterHandle
 
 	applyTwice bool // fault injection: violate the one-apply rule
 }
@@ -28,10 +27,7 @@ func (p *echoProg) Declare(a *Alloc) error {
 	if p.hits, err = a.Counter("hits"); err != nil {
 		return err
 	}
-	if p.misses, err = a.Counter("misses"); err != nil {
-		return err
-	}
-	p.reg, err = a.Register("seen", 8)
+	p.misses, err = a.Counter("misses")
 	return err
 }
 
@@ -46,7 +42,6 @@ func (p *echoProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []E
 	if p.applyTwice {
 		ctx.ApplyBytes(p.tbl, key)
 	}
-	ctx.WriteReg(p.reg, 0, ctx.ReadReg(p.reg, 0)+1)
 	return append(out, Emit{Port: ingress ^ 1, Frame: frame})
 }
 
@@ -246,6 +241,9 @@ func TestDeclareValidation(t *testing.T) {
 	if _, err := Load(Config{}, &dupProg{}); err == nil {
 		t.Error("duplicate table accepted")
 	}
+	if _, err := Load(Config{Ports: -1}, &echoProg{}); err == nil {
+		t.Error("negative port count accepted")
+	}
 }
 
 type dupProg struct{}
@@ -259,19 +257,6 @@ func (dupProg) Declare(a *Alloc) error {
 	return err
 }
 func (dupProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit { return out }
-
-func TestRegisterStatePersists(t *testing.T) {
-	prog := &echoProg{}
-	p := load(t, prog)
-	for i := 0; i < 5; i++ {
-		p.ProcessAppend(int64(i), []byte{0, 0, 0, 0}, 0, nil)
-	}
-	// Register cell 0 should have counted the packets.
-	ctx := Ctx{p: p, now: 99}
-	if got := ctx.ReadReg(prog.reg, 0); got != 5 {
-		t.Fatalf("register = %d, want 5", got)
-	}
-}
 
 func TestPipelineAccessors(t *testing.T) {
 	prog := &echoProg{}
@@ -298,14 +283,6 @@ func TestPipelineAccessors(t *testing.T) {
 	}
 	if _, ok := tbl.Get("nope"); ok {
 		t.Fatal("Get hit on missing key")
-	}
-	if _, _, ok := tbl.LeastRecentlyHit(); ok {
-		t.Fatal("LRU hit on empty table")
-	}
-	tbl.Install("aaaa", 1, 10)
-	tbl.Install("bbbb", 2, 20)
-	if k, at, ok := tbl.LeastRecentlyHit(); !ok || k != "aaaa" || at != 10 {
-		t.Fatalf("LRU = %q@%d,%v", k, at, ok)
 	}
 	if _, ok := tbl.IdleTime("nope", 30); ok {
 		t.Fatal("IdleTime hit on missing key")
@@ -336,34 +313,3 @@ func TestCtxNowAndUndeclaredPanics(t *testing.T) {
 		(&Ctx{p: p}).ApplyBytes(TableHandle{name: "ghost"}, []byte("k"))
 	}()
 }
-
-func TestRegisterValidation(t *testing.T) {
-	if _, err := Load(Config{}, &badRegProg{size: 0}); err == nil {
-		t.Error("zero-size register accepted")
-	}
-	if _, err := Load(Config{}, &badRegProg{size: 4, dup: true}); err == nil {
-		t.Error("duplicate register accepted")
-	}
-	if _, err := Load(Config{Ports: -1}, &echoProg{}); err == nil {
-		t.Error("negative port count accepted")
-	}
-}
-
-type badRegProg struct {
-	size int
-	dup  bool
-}
-
-func (p *badRegProg) Name() string { return "badreg" }
-func (p *badRegProg) Declare(a *Alloc) error {
-	if _, err := a.Register("r", p.size); err != nil {
-		return err
-	}
-	if p.dup {
-		if _, err := a.Register("r", p.size); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-func (p *badRegProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit { return out }

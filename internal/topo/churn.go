@@ -29,8 +29,6 @@ type ChurnConfig struct {
 	// Workload names the payload generator for every flow (default
 	// "sensor").
 	Workload string
-	// StartNs offsets the first arrival (default 0).
-	StartNs int64
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -84,7 +82,7 @@ func Churn(g *Graph, seed int64, cfg ChurnConfig) ([]Flow, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	flows := make([]Flow, 0, cfg.Flows)
-	at := cfg.StartNs
+	var at int64 // the first flow arrives at time zero
 	for i := 0; i < cfg.Flows; i++ {
 		src := g.Hosts[rng.Intn(len(g.Hosts))]
 		dst := src

@@ -36,12 +36,6 @@ type DNSConfig struct {
 	// Domains is the catalogue of distinct queried names (default
 	// 4,000 — one per campus user, in the spirit of [31]).
 	Domains int
-	// ZipfS is the popularity skew (default 1.30, in the band
-	// measured for DNS name popularity; lookups are famously
-	// Zipf-distributed).
-	ZipfS float64
-	// AAAAProb mixes IPv6 queries in (default 0.15).
-	AAAAProb float64
 	// Seed drives all randomness (default 2).
 	Seed int64
 }
@@ -50,8 +44,14 @@ type DNSConfig struct {
 const (
 	DefaultDNSQueries = 735_000
 	DefaultDNSDomains = 4_000
-	DefaultZipfS      = 1.30
-	DefaultAAAAProb   = 0.15
+)
+
+const (
+	// zipfS is the popularity skew, in the band measured for DNS name
+	// popularity (lookups are famously Zipf-distributed).
+	zipfS = 1.30
+	// aaaaProb is the share of IPv6 queries mixed in.
+	aaaaProb = 0.15
 )
 
 func (c DNSConfig) withDefaults() DNSConfig {
@@ -60,12 +60,6 @@ func (c DNSConfig) withDefaults() DNSConfig {
 	}
 	if c.Domains == 0 {
 		c.Domains = DefaultDNSDomains
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = DefaultZipfS
-	}
-	if c.AAAAProb == 0 {
-		c.AAAAProb = DefaultAAAAProb
 	}
 	if c.Seed == 0 {
 		c.Seed = 2
@@ -82,13 +76,13 @@ func DNS(cfg DNSConfig) *Trace {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	names := dnsCatalogue(rng, cfg.Domains)
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Domains-1))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(cfg.Domains-1))
 
 	data := make([]byte, 0, cfg.Queries*StrippedQueryLen)
 	for i := 0; i < cfg.Queries; i++ {
 		name := names[zipf.Uint64()]
 		qtype := uint16(QTypeA)
-		if rng.Float64() < cfg.AAAAProb {
+		if rng.Float64() < aaaaProb {
 			qtype = QTypeAAAA
 		}
 		q := BuildQuery(uint16(rng.Intn(1<<16)), name, qtype)
@@ -149,33 +143,6 @@ func AppendName(dst []byte, name string) []byte {
 		dst = append(dst, label...)
 	}
 	return append(dst, 0)
-}
-
-// ParseQueryName decodes the QNAME of a wire-format query (with or
-// without its transaction ID, signalled by hasTxID) — a convenience
-// for tests and examples.
-func ParseQueryName(q []byte, hasTxID bool) (string, error) {
-	off := dnsHeaderLen
-	if !hasTxID {
-		off -= 2
-	}
-	var labels []string
-	for {
-		if off >= len(q) {
-			return "", fmt.Errorf("trace: truncated QNAME")
-		}
-		l := int(q[off])
-		off++
-		if l == 0 {
-			break
-		}
-		if off+l > len(q) {
-			return "", fmt.Errorf("trace: truncated label")
-		}
-		labels = append(labels, string(q[off:off+l]))
-		off += l
-	}
-	return strings.Join(labels, "."), nil
 }
 
 // StripTxID removes the 2-byte transaction identifier, the paper's

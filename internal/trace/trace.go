@@ -57,16 +57,6 @@ func (t *Trace) WritePcap(w *pcap.Writer, src, dst packet.MAC, nsPerPacket int64
 	return nil
 }
 
-// DistinctChunks counts distinct record values — the dictionary a
-// classic deduplicator would need.
-func (t *Trace) DistinctChunks() int {
-	seen := make(map[string]struct{})
-	for i := 0; i < t.Records(); i++ {
-		seen[string(t.Record(i))] = struct{}{}
-	}
-	return len(seen)
-}
-
 // DistinctBases counts distinct GD bases under the codec — the
 // dictionary ZipLine needs. The codec's chunk size must equal the
 // record size.
@@ -93,10 +83,6 @@ type SensorConfig struct {
 	Records int
 	// Sensors is the fleet size reporting round-robin (default 200).
 	Sensors int
-	// ChangeProb is the per-reading probability that one measured
-	// field steps to a new quantised value (default 0.008, keeping
-	// the whole day's bases inside the 32,768-entry dictionary).
-	ChangeProb float64
 	// GlitchProb corrupts a reading with transient bit-flip noise.
 	// Only meaningful with SnapCodec, which keeps glitches inside
 	// the code's correction ball; default 0.
@@ -122,8 +108,12 @@ type SensorConfig struct {
 const (
 	DefaultSensorRecords = 3_124_000
 	DefaultSensors       = 200
-	DefaultChangeProb    = 0.008
 )
+
+// changeProb is the per-reading probability that one measured field
+// steps to a new quantised value; 0.008 keeps the whole day's bases
+// inside the 32,768-entry dictionary.
+const changeProb = 0.008
 
 func (c SensorConfig) withDefaults() SensorConfig {
 	if c.Records == 0 {
@@ -131,9 +121,6 @@ func (c SensorConfig) withDefaults() SensorConfig {
 	}
 	if c.Sensors == 0 {
 		c.Sensors = DefaultSensors
-	}
-	if c.ChangeProb == 0 {
-		c.ChangeProb = DefaultChangeProb
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -184,7 +171,7 @@ func Sensor(cfg SensorConfig) *Trace {
 	for i := 0; i < cfg.Records; i++ {
 		id := i % cfg.Sensors
 		st := &states[id]
-		if rng.Float64() < cfg.ChangeProb {
+		if rng.Float64() < changeProb {
 			step := int32(1)
 			if rng.Intn(2) == 0 {
 				step = -1

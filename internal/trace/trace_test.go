@@ -37,13 +37,23 @@ func TestSensorGeometryAndDeterminism(t *testing.T) {
 	}
 }
 
+// distinctRecords counts distinct record values — the dictionary a
+// classic deduplicator would need.
+func distinctRecords(tr *Trace) int {
+	seen := make(map[string]bool)
+	for i := 0; i < tr.Records(); i++ {
+		seen[string(tr.Record(i))] = true
+	}
+	return len(seen)
+}
+
 func TestSensorValueRepetition(t *testing.T) {
 	// The paper-scale parameters must keep the working set inside
 	// the 32,768-base dictionary. Check the scaled-down equivalent:
 	// distinct chunks ≈ sensors × (1 + records/sensors × changeProb),
 	// far below record count.
 	tr := Sensor(SensorConfig{Records: 200_000, Sensors: 200, Seed: 5})
-	distinct := tr.DistinctChunks()
+	distinct := distinctRecords(tr)
 	if distinct >= 10_000 {
 		t.Fatalf("distinct chunks = %d, want working-set ≪ records", distinct)
 	}
@@ -59,7 +69,7 @@ func TestSensorDistinctBasesEqualChunksWithoutSnap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := tr.DistinctChunks()
+	chunks := distinctRecords(tr)
 	// Quantised readings are arbitrary words: GD assigns one basis
 	// per distinct value (no ball sharing without snapping).
 	if bases != chunks {
@@ -80,7 +90,7 @@ func TestSensorSnapAndGlitchShareBases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := tr.DistinctChunks()
+	chunks := distinctRecords(tr)
 	if chunks < bases*3 {
 		t.Fatalf("chunks %d vs bases %d: glitches did not cluster", chunks, bases)
 	}
@@ -110,15 +120,13 @@ func TestDNSRecordShape(t *testing.T) {
 	if tr.Records() != 5_000 {
 		t.Fatalf("records = %d", tr.Records())
 	}
-	// Each stripped record re-parses as a DNS question for a
-	// catalogue-shaped name.
+	// Each stripped record carries a catalogue-shaped QNAME behind
+	// the ten header bytes the transaction ID leaves: www, eight
+	// letters, a three-letter TLD, the root label.
 	for i := 0; i < 100; i++ {
-		name, err := ParseQueryName(tr.Record(i), false)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if len(name) != 16 { // www. + 8 + . + 3
-			t.Fatalf("record %d: name %q has unexpected length", i, name)
+		name := tr.Record(i)[10:28]
+		if name[0] != 3 || string(name[1:4]) != "www" || name[4] != 8 || name[13] != 3 || name[17] != 0 {
+			t.Fatalf("record %d: QNAME % x is not www.<8>.<3>", i, name)
 		}
 	}
 }
@@ -171,9 +179,8 @@ func TestBuildQueryWireFormat(t *testing.T) {
 	if q[5] != 1 {
 		t.Fatal("QDCOUNT != 1")
 	}
-	name, err := ParseQueryName(q, true)
-	if err != nil || name != "www.example.com" {
-		t.Fatalf("name = %q err = %v", name, err)
+	if name := string(q[12 : len(q)-4]); name != "\x03www\x07example\x03com\x00" {
+		t.Fatalf("QNAME = %q", name)
 	}
 	// QTYPE/QCLASS trailer.
 	if q[len(q)-4] != 0 || q[len(q)-3] != QTypeA || q[len(q)-1] != qClassIN {
@@ -186,15 +193,6 @@ func TestBuildQueryWireFormat(t *testing.T) {
 	}
 	if got := len(StripTxID(q2)); got != StrippedQueryLen {
 		t.Fatalf("stripped = %d bytes", got)
-	}
-}
-
-func TestParseQueryNameErrors(t *testing.T) {
-	if _, err := ParseQueryName([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 'a'}, false); err == nil {
-		t.Fatal("truncated label accepted")
-	}
-	if _, err := ParseQueryName(make([]byte, 10), false); err == nil {
-		t.Fatal("missing terminator accepted")
 	}
 }
 

@@ -98,17 +98,6 @@ func SetBypass(pl *tofino.Pipeline, on bool) error {
 	return nil
 }
 
-// Bypassing reads the encoder bypass gate (false for non-zswitch
-// pipelines). Tests use it to assert reconciliation released every
-// quarantine.
-func Bypassing(pl *tofino.Pipeline) bool {
-	p, err := loadedProgram(pl)
-	if err != nil {
-		return false
-	}
-	return p.bypass
-}
-
 // Epoch reads a pipeline's restart epoch (0 = never restarted).
 func Epoch(pl *tofino.Pipeline) uint32 {
 	p, err := loadedProgram(pl)

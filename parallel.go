@@ -529,25 +529,3 @@ func NewParallelReader(r io.Reader) (*ParallelReader, error) {
 	}
 	return zr, nil
 }
-
-// CompressBytesParallel compresses data in one call using workers
-// parallel encoders (0 selects GOMAXPROCS); the result is readable by
-// any Reader configuration.
-//
-// Deprecated: use NewWriter with WithWorkers, or a pooled
-// (*Writer).EncodeAll for short streams.
-func CompressBytesParallel(data []byte, cfg Config, workers int) ([]byte, error) {
-	var buf appendWriter
-	pw, err := NewParallelWriter(&buf, cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := pw.Write(data); err != nil {
-		pw.Close() // release the workers; the write error wins
-		return nil, err
-	}
-	if err := pw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}

@@ -20,6 +20,24 @@ func sensorLike(t testing.TB, size int, seed int64) []byte {
 	return sensorLikeData(size, seed)
 }
 
+// compressSharded compresses data in one call through workers shard
+// encoders: how the tests build version-2 streams.
+func compressSharded(data []byte, cfg Config, workers int) ([]byte, error) {
+	var buf bytes.Buffer
+	zw, err := NewWriter(&buf, cfg, WithWorkers(workers))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := zw.Write(data); err != nil {
+		zw.Close() // release the workers; the write error wins
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 func sensorLikeData(size int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	bases := make([][]byte, 8)
@@ -43,7 +61,7 @@ func TestParallelRoundTripWorkersAndSizes(t *testing.T) {
 		for _, size := range []int{0, 1, 31, 32, 1000, defaultSegmentBytes,
 			defaultSegmentBytes + 17, 3*defaultSegmentBytes + 5} {
 			data := sensorLike(t, size, int64(size)+int64(workers))
-			comp, err := CompressBytesParallel(data, Config{}, workers)
+			comp, err := compressSharded(data, Config{}, workers)
 			if err != nil {
 				t.Fatalf("workers=%d size=%d: compress: %v", workers, size, err)
 			}
@@ -144,7 +162,7 @@ func TestParallelShardLockstepUnderEviction(t *testing.T) {
 	for len(data) < 3*defaultSegmentBytes {
 		data = append(data, bases[rng.Intn(len(bases))]...)
 	}
-	comp, err := CompressBytesParallel(data, Config{IDBits: 4}, 3)
+	comp, err := compressSharded(data, Config{IDBits: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +212,7 @@ func TestParallelSplitWrites(t *testing.T) {
 func TestParallelAllMSizes(t *testing.T) {
 	data := sensorLike(t, 50_000, 7)
 	for m := 3; m <= 15; m++ {
-		comp, err := CompressBytesParallel(data, Config{M: m}, 4)
+		comp, err := compressSharded(data, Config{M: m}, 4)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -264,7 +282,7 @@ func TestParallelWriterPropagatesWriteErrors(t *testing.T) {
 
 func TestParallelStreamCorruptionDetected(t *testing.T) {
 	data := sensorLike(t, 2*defaultSegmentBytes, 13)
-	comp, err := CompressBytesParallel(data, Config{}, 3)
+	comp, err := compressSharded(data, Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +321,7 @@ func TestParallelStreamCorruptionDetected(t *testing.T) {
 
 func TestParallelReaderCloseEarly(t *testing.T) {
 	data := sensorLike(t, 6*defaultSegmentBytes, 15)
-	sharded, err := CompressBytesParallel(data, Config{}, 4)
+	sharded, err := compressSharded(data, Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +418,7 @@ func TestParallelCompressionStaysClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompressBytesParallel(data, Config{}, 8)
+	par, err := compressSharded(data, Config{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -534,7 +534,7 @@ func TestStreamTruncatedAtEveryBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams["v1-serial"] = v1
-	v2, err := CompressBytesParallel(data, Config{}, 3)
+	v2, err := compressSharded(data, Config{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,8 +661,9 @@ func TestReaderResetAfterError(t *testing.T) {
 	if got, want := zr.decs[0].dict.Len(), fresh.decs[0].dict.Len(); got != want {
 		t.Fatalf("reused dictionary has %d entries, fresh decode has %d", got, want)
 	}
-	if zr.decs[0].dict.FrozenLen() != dict.Len() {
-		t.Fatalf("frozen prefix %d, want %d", zr.decs[0].dict.FrozenLen(), dict.Len())
+	last := uint32(dict.Len() - 1)
+	if got, ok := zr.decs[0].dict.LookupID(last); !ok || !got.Equal(dict.frozen.Basis(last)) {
+		t.Fatalf("frozen prefix lost: id %d resolves to %v, %v", last, got, ok)
 	}
 	// Mid-stream error path again, then Reset with NO successful decode
 	// in between: the dictionary must still start from the prefix only.

@@ -8,20 +8,21 @@ import (
 )
 
 // enginePools owns one writer pool and one reader pool per encoder
-// variant (the dictless one plus each registered dictionary). The
-// variant set is fixed at construction, so lookups are lock-free map
-// reads and the only synchronisation is sync.Pool's own. A pooled
-// engine is re-served with Reset, which keeps its dictionary, block
-// buffers and worker state — the steady-state acquire→encode→release
-// cycle allocates nothing (pinned by TestPooledWriterZeroAllocs).
+// variant: the dictless one, under the nil dictionary, plus each
+// registered dictionary. The variant set is fixed at construction, so
+// lookups are lock-free map reads and the only synchronisation is
+// sync.Pool's own. A pooled engine is re-served with Reset, which keeps
+// its dictionary, block buffers and worker state — the steady-state
+// acquire→encode→release cycle allocates nothing (pinned by
+// TestPooledWriterZeroAllocs).
 type enginePools struct {
-	set     settings
-	writers map[uint32]*sync.Pool // Dict.ID → pool; dictless under key of nil entry
-	readers map[uint32]*sync.Pool
-	dictless,
-	dictlessR *sync.Pool
-	byID map[uint32]*zipline.Dict
+	set      settings
+	variants map[*zipline.Dict]*variant
+	byID     map[uint32]*zipline.Dict // negotiation: a Zipline-Dict id to its dictionary
 }
+
+// variant is the engine pools of one encoder variant.
+type variant struct{ writers, readers sync.Pool }
 
 // newEnginePools builds the pools and eagerly constructs one writer
 // per variant, so configuration errors (e.g. a WithConfig conflicting
@@ -29,47 +30,37 @@ type enginePools struct {
 // not mid-request.
 func newEnginePools(set settings) (*enginePools, error) {
 	p := &enginePools{
-		set:     set,
-		writers: make(map[uint32]*sync.Pool, len(set.dicts)),
-		readers: make(map[uint32]*sync.Pool, len(set.dicts)),
-		byID:    make(map[uint32]*zipline.Dict, len(set.dicts)),
+		set:      set,
+		variants: make(map[*zipline.Dict]*variant, 1+len(set.dicts)),
+		byID:     make(map[uint32]*zipline.Dict, len(set.dicts)),
 	}
-	mk := func(d *zipline.Dict) (*sync.Pool, *sync.Pool, error) {
+	for _, d := range append([]*zipline.Dict{nil}, set.dicts...) {
 		opts := set.ziplineOptions(d)
 		probe, err := zipline.NewWriter(io.Discard, opts...)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		wp := &sync.Pool{New: func() any {
+		v := &variant{}
+		v.writers.New = func() any {
 			zw, err := zipline.NewWriter(io.Discard, opts...)
 			if err != nil {
 				// Unreachable: the probe above validated this option set.
 				panic("ziphttp: " + err.Error())
 			}
 			return zw
-		}}
-		wp.Put(probe)
-		rp := &sync.Pool{New: func() any {
+		}
+		v.writers.Put(probe)
+		v.readers.New = func() any {
 			zr, err := zipline.NewReader(nil, opts...)
 			if err != nil {
 				panic("ziphttp: " + err.Error())
 			}
 			return zr
-		}}
-		return wp, rp, nil
-	}
-	var err error
-	if p.dictless, p.dictlessR, err = mk(nil); err != nil {
-		return nil, err
-	}
-	for _, d := range set.dicts {
-		wp, rp, err := mk(d)
-		if err != nil {
-			return nil, err
 		}
-		p.writers[d.ID()] = wp
-		p.readers[d.ID()] = rp
-		p.byID[d.ID()] = d
+		p.variants[d] = v
+		if d != nil {
+			p.byID[d.ID()] = d
+		}
 	}
 	return p, nil
 }
@@ -77,11 +68,7 @@ func newEnginePools(set settings) (*enginePools, error) {
 // getWriter borrows a pooled writer for the dictionary (nil for
 // dictless) and points it at w.
 func (p *enginePools) getWriter(d *zipline.Dict, w io.Writer) *zipline.Writer {
-	pool := p.dictless
-	if d != nil {
-		pool = p.writers[d.ID()]
-	}
-	zw := pool.Get().(*zipline.Writer)
+	zw := p.variants[d].writers.Get().(*zipline.Writer)
 	zw.Reset(w)
 	return zw
 }
@@ -90,21 +77,13 @@ func (p *enginePools) getWriter(d *zipline.Dict, w io.Writer) *zipline.Writer {
 // the request's ResponseWriter so the pool never pins one.
 func (p *enginePools) putWriter(d *zipline.Dict, zw *zipline.Writer) {
 	zw.Reset(io.Discard)
-	pool := p.dictless
-	if d != nil {
-		pool = p.writers[d.ID()]
-	}
-	pool.Put(zw)
+	p.variants[d].writers.Put(zw)
 }
 
 // getReader borrows a pooled reader for the dictionary (nil for
 // dictless) and points it at r.
 func (p *enginePools) getReader(d *zipline.Dict, r io.Reader) *zipline.Reader {
-	pool := p.dictlessR
-	if d != nil {
-		pool = p.readers[d.ID()]
-	}
-	zr := pool.Get().(*zipline.Reader)
+	zr := p.variants[d].readers.Get().(*zipline.Reader)
 	zr.Reset(r)
 	return zr
 }
@@ -113,9 +92,5 @@ func (p *enginePools) getReader(d *zipline.Dict, r io.Reader) *zipline.Reader {
 // reference first.
 func (p *enginePools) putReader(d *zipline.Dict, zr *zipline.Reader) {
 	zr.Reset(nil)
-	pool := p.dictlessR
-	if d != nil {
-		pool = p.readers[d.ID()]
-	}
-	pool.Put(zr)
+	p.variants[d].readers.Put(zr)
 }
