@@ -35,7 +35,7 @@ func TestUnifiedWriterWorkersOption(t *testing.T) {
 		if got := buf.Bytes()[4]; got != wantVersion {
 			t.Fatalf("workers=%d: container version %d, want %d", workers, got, wantVersion)
 		}
-		back, err := DecompressBytes(buf.Bytes())
+		back, err := decodeFresh(buf.Bytes())
 		if err != nil {
 			t.Fatalf("workers=%d: serial decode: %v", workers, err)
 		}
@@ -141,7 +141,7 @@ func TestNewParallelWriterKeepsEagerHeader(t *testing.T) {
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressBytes(buf.Bytes()); err != nil {
+	if _, err := decodeFresh(buf.Bytes()); err != nil {
 		t.Fatalf("empty eager-header stream: %v", err)
 	}
 	wantErr := errors.New("disk full")
@@ -214,7 +214,7 @@ func TestWriterDoubleCloseAfterSuccessStaysNil(t *testing.T) {
 				t.Fatalf("workers=%d Close #%d: %v", workers, i+1, err)
 			}
 		}
-		if back, err := DecompressBytes(buf.Bytes()); err != nil || string(back) != "idempotent" {
+		if back, err := decodeFresh(buf.Bytes()); err != nil || string(back) != "idempotent" {
 			t.Fatalf("workers=%d: %q, %v", workers, back, err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestWriterResetServesNewStreams(t *testing.T) {
 			if err := zw.Close(); err != nil {
 				t.Fatal(err)
 			}
-			back, err := DecompressBytes(buf.Bytes())
+			back, err := decodeFresh(buf.Bytes())
 			if err != nil {
 				t.Fatalf("workers=%d round %d: %v", workers, round, err)
 			}
@@ -315,8 +315,8 @@ func TestWriterResetZeroAllocs(t *testing.T) {
 func TestReaderResetReusesDecoders(t *testing.T) {
 	data1 := sensorLikeData(100_000, 91)
 	data2 := sensorLikeData(60_000, 92)
-	comp1, _ := CompressBytes(data1, Config{})
-	comp2, _ := CompressBytes(data2, Config{})
+	comp1, _ := encodeFresh(data1, Config{})
+	comp2, _ := encodeFresh(data2, Config{})
 	zr, err := NewReader(bytes.NewReader(comp1))
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestReaderResetReusesDecoders(t *testing.T) {
 		t.Fatal("Reset rebuilt decoders for a matching stream header")
 	}
 	// A different configuration must rebuild them.
-	comp3, _ := CompressBytes(data2, Config{M: 5})
+	comp3, _ := encodeFresh(data2, Config{M: 5})
 	zr.Reset(bytes.NewReader(comp3))
 	back, err = io.ReadAll(zr)
 	if err != nil || !bytes.Equal(back, data2) {
@@ -357,7 +357,7 @@ func TestEncodeAllMatchesStreamingOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CompressBytes(data, Config{})
+	want, err := encodeFresh(data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestEncodeAllOnParallelWriterStaysSerial(t *testing.T) {
 	if comp[4] != streamV1 {
 		t.Fatalf("one-shot container version %d, want %d", comp[4], streamV1)
 	}
-	back, err := DecompressBytes(comp)
+	back, err := decodeFresh(comp)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -513,7 +513,7 @@ func TestDictStreamRoundTripAndRejection(t *testing.T) {
 			t.Fatalf("workers=%d DecodeAll: %v", workers, err)
 		}
 		// Without the dict: clean typed rejection.
-		if _, err := DecompressBytes(comp); !errors.Is(err, ErrDictRequired) {
+		if _, err := decodeFresh(comp); !errors.Is(err, ErrDictRequired) {
 			t.Fatalf("workers=%d: dictless decode = %v, want ErrDictRequired", workers, err)
 		}
 		// With a different dict: mismatch.

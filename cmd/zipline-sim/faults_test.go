@@ -85,3 +85,19 @@ func TestListIncludesLossyControl(t *testing.T) {
 		t.Fatalf("-list missing lossy-control:\n%s", out.String())
 	}
 }
+
+// TestBadPlacementFlagRejected: -placement is the sweep param of the
+// same name, so a strategy it does not know, or a base without a
+// topology block, is a usage error before anything is built or dumped.
+func TestBadPlacementFlagRejected(t *testing.T) {
+	cases := [][]string{
+		{"-topo", "fat-tree:k=4", "-placement", "nope", "-dump-spec"},
+		{"-preset", "chain3", "-placement", "greedy", "-dump-spec"},
+	}
+	for _, args := range cases {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("args %v: exit %d, want 2 (%s)", args, code, errb.String())
+		}
+	}
+}

@@ -19,6 +19,11 @@
 // The sweep subcommand (see sweep.go) expands a declarative sweep
 // spec into a grid of scenarios and runs them concurrently.
 //
+// The override flags are sweep params (-duration is duration_ms,
+// -control-loss control_loss_prob) applied to the base through
+// sweep.ApplyParam, the code that writes sweep cells. Only -topo,
+// -flows and -restart have no sweep param and their own code.
+//
 // The same seed always produces the identical report, so a saved
 // report is a regression fixture for the whole engine. To reproduce
 // the paper's (1.77 ± 0.08) ms learning delay:
@@ -68,6 +73,7 @@ import (
 
 	"zipline/internal/netsim"
 	"zipline/internal/scenario"
+	"zipline/internal/sweep"
 )
 
 func main() {
@@ -122,9 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		spec = preset
 	}
-	if *seed != 0 {
-		spec.Seed = *seed
-	}
 	if *topoFlag != "" {
 		t, err := parseTopo(*topoFlag)
 		if err != nil {
@@ -139,37 +142,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Faults = nil
 		spec.Name = *topoFlag
 	}
-	if *placementFlag != "" {
-		if spec.Placement == nil {
-			spec.Placement = &scenario.PlacementSpec{}
-		}
-		spec.Placement.Strategy = *placementFlag
+	// Sweep params, on top of the generated topology (-seed commutes
+	// with -topo and -flows with the table, so the order is unchanged).
+	if err := applyOverrides(&spec, []override{
+		{*seed != 0, "seed", sweep.Num64(float64(*seed))},
+		{*placementFlag != "", "placement", sweep.Str(*placementFlag)},
+		{*records > 0, "records", sweep.Num64(float64(*records))},
+		{*tracePath != "", "trace", sweep.Str(*tracePath)},
+		{*durationMs > 0, "duration_ms", sweep.Num64(float64(*durationMs))},
+		{*controlLoss >= 0, "control_loss_prob", sweep.Num64(*controlLoss)},
+	}); err != nil {
+		fmt.Fprintf(stderr, "zipline-sim: %v\n", err)
+		return 2
 	}
 	if *flows > 0 {
 		if spec.Flows == nil {
 			spec.Flows = &scenario.FlowsSpec{}
 		}
 		spec.Flows.Count = *flows
-	}
-	if *records > 0 {
-		for i := range spec.Traffic {
-			spec.Traffic[i].Records = *records
-		}
-	}
-	if *tracePath != "" {
-		for i := range spec.Traffic {
-			spec.Traffic[i].Workload = scenario.WorkloadTrace
-			spec.Traffic[i].Trace = *tracePath
-		}
-	}
-	if *durationMs > 0 {
-		spec.DurationNs = *durationMs * int64(netsim.Millisecond)
-	}
-	if *controlLoss >= 0 {
-		if spec.Faults == nil {
-			spec.Faults = &netsim.FaultSpec{}
-		}
-		spec.Faults.ControlLossProb = *controlLoss
 	}
 	if *restarts != "" {
 		scheduled, err := parseRestarts(*restarts)
@@ -211,6 +201,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	report.WriteText(stdout)
 	return 0
+}
+
+// override is one flag as the sweep param of the same meaning; set
+// reports whether the flag was given.
+type override struct {
+	set   bool
+	param string
+	value sweep.Value
+}
+
+// applyOverrides applies the given flags to sp in order.
+func applyOverrides(sp *scenario.Spec, overrides []override) error {
+	for _, o := range overrides {
+		if o.set {
+			if err := sweep.ApplyParam(sp, sweep.Axis{Param: o.param}, o.value); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // parseTopo parses the -topo flag: kind[:key=val,...], e.g.

@@ -34,7 +34,6 @@ import (
 	"os"
 	"strings"
 
-	"zipline/internal/scenario"
 	"zipline/internal/sweep"
 )
 
@@ -107,14 +106,12 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "zipline-sim sweep: %v\n", err)
 			return 1
 		}
-		for i := range base.Traffic {
-			if *records > 0 {
-				base.Traffic[i].Records = *records
-			}
-			if *tracePath != "" {
-				base.Traffic[i].Workload = scenario.WorkloadTrace
-				base.Traffic[i].Trace = *tracePath
-			}
+		if err := applyOverrides(&base, []override{
+			{*records > 0, "records", sweep.Num64(float64(*records))},
+			{*tracePath != "", "trace", sweep.Str(*tracePath)},
+		}); err != nil {
+			fmt.Fprintf(stderr, "zipline-sim sweep: %v\n", err)
+			return 2
 		}
 		swp.Preset, swp.Base = "", &base
 	}

@@ -6,8 +6,8 @@
 //
 // It runs two ways:
 //
-//	ziplint [-json] [packages]      # standalone, defaults to ./...
-//	go vet -vettool=$(which ziplint) ./...
+//	ziplint [packages]              # standalone, defaults to ./...
+//	go vet -vettool=$(which ziplint) [-json] ./...
 //
 // The second form speaks the go command's unitchecker protocol
 // (-V=full, -flags, and per-package .cfg files), so ziplint slots into
@@ -59,7 +59,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return lint.RunUnit(rest[0], lint.Analyzers, jsonOut, stdout, stderr)
 	}
 
-	// Standalone mode: load and analyze packages ourselves.
+	// Standalone mode: load and analyze packages ourselves. Only the
+	// vet unit protocol has a JSON shape, so -json here is misuse.
+	if jsonOut {
+		fmt.Fprintln(stderr, "ziplint: -json is only supported under go vet -vettool")
+		return 2
+	}
 	patterns := rest
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

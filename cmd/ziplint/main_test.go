@@ -38,3 +38,16 @@ func TestFlagsHandshake(t *testing.T) {
 		t.Fatalf("-flags output not the vet JSON shape: %q", stdout.String())
 	}
 }
+
+// TestJSONRejectedStandalone: -json only has a shape in the vet unit
+// protocol; the standalone driver must refuse it rather than accept it
+// and print plain text.
+func TestJSONRejectedStandalone(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"ziplint", "-json", "zipline/internal/bitvec"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("standalone -json exited %d, want 2 (stdout %q, stderr %q)", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-json") {
+		t.Fatalf("stderr does not name the flag: %q", stderr.String())
+	}
+}

@@ -51,7 +51,7 @@ func TestDifferentialWriterReaderPairings(t *testing.T) {
 			data := sensorLikeData(size, int64(1000+size+ci))
 			t.Run(fmt.Sprintf("cfg%d/size%d", ci, size), func(t *testing.T) {
 				// Reference: serial writer, serial reader.
-				serialComp, err := CompressBytes(data, cfg)
+				serialComp, err := encodeFresh(data, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestDifferentialRandomInputs(t *testing.T) {
 		rng.Read(data)
 		workers := 1 + rng.Intn(8)
 
-		serialComp, err := CompressBytes(data, Config{})
+		serialComp, err := encodeFresh(data, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,11 +25,15 @@ func ExampleCodec_Split() {
 	// lossless: true
 }
 
-// Repetitive data collapses to roughly 3 bytes per 32-byte chunk.
-func ExampleCompressBytes() {
+// One-shot use: a Writer with no destination encodes whole buffers
+// through EncodeAll. Repetitive data collapses to roughly 3 bytes per
+// 32-byte chunk.
+func ExampleNewWriter() {
 	data := bytes.Repeat([]byte("0123456789abcdef0123456789abcdef"), 1000)
-	comp, _ := zipline.CompressBytes(data, zipline.Config{})
-	back, _ := zipline.DecompressBytes(comp)
+	zw, _ := zipline.NewWriter(nil, zipline.Config{})
+	zr, _ := zipline.NewReader(nil)
+	comp := zw.EncodeAll(data, nil)
+	back, _ := zr.DecodeAll(comp, nil)
 
 	fmt.Println("input:", len(data))
 	fmt.Println("under 11%:", len(comp) < len(data)*11/100)

@@ -33,14 +33,19 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "workload: %d queries x %d B = %.1f MB\n",
 		len(queries)/32, 32, float64(len(queries))/1e6)
 
-	comp, err := zipline.CompressBytes(queries, zipline.Config{})
+	zw, err := zipline.NewWriter(nil, zipline.Config{})
 	if err != nil {
 		return err
 	}
+	comp := zw.EncodeAll(queries, nil)
 	fmt.Fprintf(w, "zipline: %.1f%% of original size\n",
 		100*float64(len(comp))/float64(len(queries)))
 
-	restored, err := zipline.DecompressBytes(comp)
+	zr, err := zipline.NewReader(nil)
+	if err != nil {
+		return err
+	}
+	restored, err := zr.DecodeAll(comp, nil)
 	if err != nil {
 		return err
 	}

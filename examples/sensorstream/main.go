@@ -68,7 +68,11 @@ func run(w io.Writer) error {
 		gbuf.Len(), float64(gbuf.Len())/float64(len(data)))
 
 	// Verify losslessness.
-	restored, err := zipline.DecompressBytes(zbuf.Bytes())
+	zr, err := zipline.NewReader(nil)
+	if err != nil {
+		return err
+	}
+	restored, err := zr.DecodeAll(zbuf.Bytes(), nil)
 	if err != nil {
 		return err
 	}

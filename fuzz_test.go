@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// FuzzDecompressBytes: arbitrary input must never panic the stream
-// decoder — it either round-fails with an error or decodes quietly.
+// FuzzDecompressBytes: arbitrary input must never panic the one-shot
+// stream decoder (a fresh Reader's DecodeAll) — it either round-fails
+// with an error or decodes quietly.
 func FuzzDecompressBytes(f *testing.F) {
 	// Seed with valid streams of several shapes plus junk.
 	for _, data := range [][]byte{
@@ -18,10 +19,10 @@ func FuzzDecompressBytes(f *testing.F) {
 	} {
 		f.Add(data)
 	}
-	if comp, err := CompressBytes(bytes.Repeat([]byte{1, 2, 3, 4}, 100), Config{}); err == nil {
+	if comp, err := encodeFresh(bytes.Repeat([]byte{1, 2, 3, 4}, 100), Config{}); err == nil {
 		f.Add(comp)
 	}
-	if comp, err := CompressBytes([]byte("tail-only"), Config{M: 5}); err == nil {
+	if comp, err := encodeFresh([]byte("tail-only"), Config{M: 5}); err == nil {
 		f.Add(comp)
 	}
 	// Sharded v2 containers: several shard counts, a multi-segment
@@ -49,7 +50,7 @@ func FuzzDecompressBytes(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := DecompressBytes(data)
+		out, err := decodeFresh(data)
 		if err == nil && len(out) > 1<<26 {
 			t.Fatalf("implausible expansion: %d bytes", len(out))
 		}
@@ -152,11 +153,11 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("abcdefgh"), 64), uint8(5), uint8(1), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, m, tt, workers uint8) {
 		cfg := Config{M: int(m%13) + 3, T: int(tt%2) + 1}
-		comp, err := CompressBytes(data, cfg)
+		comp, err := encodeFresh(data, cfg)
 		if err != nil {
 			t.Fatalf("compress: %v", err)
 		}
-		back, err := DecompressBytes(comp)
+		back, err := decodeFresh(comp)
 		if err != nil {
 			t.Fatalf("decompress: %v", err)
 		}
@@ -167,7 +168,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parallel compress: %v", err)
 		}
-		back, err = DecompressBytes(pcomp)
+		back, err = decodeFresh(pcomp)
 		if err != nil {
 			t.Fatalf("serial decode of v2: %v", err)
 		}
@@ -200,7 +201,7 @@ func decompressParallel(data []byte) ([]byte, error) {
 func FuzzParallelReader(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("not a stream"))
-	if comp, err := CompressBytes(bytes.Repeat([]byte("serial v1 stream!"), 50), Config{}); err == nil {
+	if comp, err := encodeFresh(bytes.Repeat([]byte("serial v1 stream!"), 50), Config{}); err == nil {
 		f.Add(comp)
 	}
 	if comp, err := compressSharded(bytes.Repeat([]byte{1, 2, 3, 4}, 100), Config{}, 3); err == nil {
@@ -243,7 +244,7 @@ func FuzzParallelReader(f *testing.F) {
 		if pErr == nil && len(pOut) > 1<<26 {
 			t.Fatalf("implausible expansion: %d bytes", len(pOut))
 		}
-		sOut, sErr := DecompressBytes(data)
+		sOut, sErr := decodeFresh(data)
 		if pErr == nil && sErr != nil {
 			// The serial Reader decodes every container version; a
 			// stream only the parallel decoder accepts is a format
@@ -259,7 +260,7 @@ func FuzzParallelReader(f *testing.F) {
 // TestStreamRandomCorruptionNeverPanics flips random bits/bytes in
 // valid streams; the decoder must return errors or data, never panic.
 func TestStreamRandomCorruptionNeverPanics(t *testing.T) {
-	base, err := CompressBytes(bytes.Repeat([]byte("sensor-reading-0123456789abcdef!"), 200), Config{})
+	base, err := encodeFresh(bytes.Repeat([]byte("sensor-reading-0123456789abcdef!"), 200), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +286,6 @@ func TestStreamRandomCorruptionNeverPanics(t *testing.T) {
 		}
 		// Must not panic; errors and silent wrong data are both
 		// acceptable for a format without integrity checksums.
-		DecompressBytes(corrupt)
+		decodeFresh(corrupt)
 	}
 }

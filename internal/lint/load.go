@@ -64,34 +64,40 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports)
+	gc := exportData(fset, "gc", exports)
 	var pkgs []*Package
 	for _, lp := range targets {
-		pkg, err := checkPackage(fset, imp, lp)
+		imp := mappedImporter{importMap: lp.ImportMap, gc: gc}
+		pkg, err := checkFiles(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("lint: %v", err)
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// checkPackage parses and type-checks one package from source, with
-// imports satisfied from compiled export data.
-func checkPackage(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Package, error) {
+// checkFiles parses one package's files (names relative to dir unless
+// absolute) and type-checks them as importPath. Both drivers share it:
+// Load with go list's view of a package, RunUnit with the go command's
+// vet unit, which also carries _test.go files.
+func checkFiles(fset *token.FileSet, imp types.Importer, importPath, dir string, names []string) (*Package, error) {
 	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range names {
+		if !filepath.IsAbs(name) {
+			name = filepath.Join(dir, name)
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, fmt.Errorf("lint: %v", err)
+			return nil, err
 		}
 		files = append(files, f)
 	}
 	info := NewTypesInfo()
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
+	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %v", lp.ImportPath, err)
+		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
 	}
 	return &Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
@@ -109,34 +115,33 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// exportImporter satisfies imports from a map of compiled export files,
-// the way the gc toolchain's own tools resolve dependencies.
-type exportImporter struct {
-	gc    types.ImporterFrom
-	paths map[string]string
-}
-
-func newExportImporter(fset *token.FileSet, paths map[string]string) *exportImporter {
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := paths[path]
+// exportData returns the compiler's importer over a map of compiled
+// export files (package path -> file), the way the gc toolchain's own
+// tools resolve dependencies.
+func exportData(fset *token.FileSet, compiler string, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
-	}
-	return &exportImporter{
-		gc:    importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom),
-		paths: paths,
-	}
+	})
 }
 
-func (e *exportImporter) Import(path string) (*types.Package, error) {
-	return e.ImportFrom(path, "", 0)
+// mappedImporter applies a package's import map (source import path ->
+// package path, for vendored or test-variant packages) before
+// delegating to the export-data importer.
+type mappedImporter struct {
+	importMap map[string]string
+	gc        types.Importer
 }
 
-func (e *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+func (m mappedImporter) Import(path string) (*types.Package, error) {
+	if mapped, ok := m.importMap[path]; ok {
+		path = mapped
+	}
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	return e.gc.ImportFrom(path, dir, mode)
+	return m.gc.Import(path)
 }

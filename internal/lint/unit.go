@@ -3,14 +3,9 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Analyzers is the ziplint suite, in reporting order.
@@ -60,7 +55,9 @@ func RunUnit(cfgFile string, analyzers []*Analyzer, jsonOut bool, stdout, stderr
 		return 0
 	}
 
-	pkg, err := checkVetUnit(cfg)
+	fset := token.NewFileSet()
+	imp := mappedImporter{importMap: cfg.ImportMap, gc: exportData(fset, cfg.Compiler, cfg.PackageFile)}
+	pkg, err := checkFiles(fset, imp, cfg.ImportPath, cfg.Dir, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -115,53 +112,4 @@ func readVetConfig(path string) (*VetConfig, error) {
 		return nil, fmt.Errorf("parsing vet config %s: %v", path, err)
 	}
 	return cfg, nil
-}
-
-// checkVetUnit parses and type-checks the unit's files with imports
-// satisfied from the export data the go command already built.
-func checkVetUnit(cfg *VetConfig) (*Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-
-	compImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := NewTypesInfo()
-	conf := types.Config{Importer: vetImporter{cfg: cfg, comp: compImp}}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", cfg.ImportPath, err)
-	}
-	return &Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// vetImporter applies the unit's vendor/import map before delegating to
-// the compiler export-data importer.
-type vetImporter struct {
-	cfg  *VetConfig
-	comp types.Importer
-}
-
-func (v vetImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := v.cfg.ImportMap[path]; ok {
-		path = mapped
-	}
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return v.comp.Import(path)
 }

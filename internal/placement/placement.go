@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"zipline/internal/topo"
+	"zipline/internal/zswitch"
 )
 
 // Strategy names a dictionary-placement policy.
@@ -30,34 +31,10 @@ func (s Strategy) Valid() bool {
 	return false
 }
 
-// Role is a port's compression role in a plan.
-type Role int
-
-// Port roles, mirroring the dataplane's.
-const (
-	RoleForward Role = iota
-	RoleEncode
-	RoleDecode
-)
-
-// String implements fmt.Stringer.
-func (r Role) String() string {
-	switch r {
-	case RoleForward:
-		return "forward"
-	case RoleEncode:
-		return "encode"
-	case RoleDecode:
-		return "decode"
-	default:
-		return fmt.Sprintf("role(%d)", int(r))
-	}
-}
-
 // PortRole assigns a role to one ingress port.
 type PortRole struct {
 	Port int
-	Role Role
+	Role zswitch.Role
 }
 
 // SwitchPlan is one switch's slice of the plan: per-port roles in the
@@ -137,12 +114,12 @@ func Compute(g *topo.Graph, s Strategy, idBits int, scores map[string]uint64) (*
 	for _, sw := range g.Switches {
 		sp := SwitchPlan{Name: sw.Name}
 		for _, p := range sw.Ports {
-			role := RoleForward
+			role := zswitch.RoleForward
 			switch {
 			case sw.Tier == topo.TierEdge && p.Dir != topo.DirHost:
-				role = RoleDecode
+				role = zswitch.RoleDecode
 			case encodes(sw, p):
-				role = RoleEncode
+				role = zswitch.RoleEncode
 				sp.Encode = true
 			}
 			sp.Roles = append(sp.Roles, PortRole{Port: p.Num, Role: role})
@@ -190,8 +167,8 @@ func Compute(g *topo.Graph, s Strategy, idBits int, scores map[string]uint64) (*
 		if shares[i] == 0 {
 			sp.Encode = false
 			for j, pr := range sp.Roles {
-				if pr.Role == RoleEncode {
-					sp.Roles[j].Role = RoleForward
+				if pr.Role == zswitch.RoleEncode {
+					sp.Roles[j].Role = zswitch.RoleForward
 				}
 			}
 			continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zipline/internal/topo"
+	"zipline/internal/zswitch"
 )
 
 func fatTree(t *testing.T, k int) *topo.Graph {
@@ -97,7 +98,7 @@ func TestEveryEdgeDecodesFabricIngress(t *testing.T) {
 			}
 			sp := byName(p)[sw.Name]
 			for _, pr := range sp.Roles {
-				if dirs[sw.Name][pr.Port] != topo.DirHost && pr.Role != RoleDecode {
+				if dirs[sw.Name][pr.Port] != topo.DirHost && pr.Role != zswitch.RoleDecode {
 					t.Errorf("%s: edge %s port %d role %v, want decode", s, sw.Name, pr.Port, pr.Role)
 				}
 			}
@@ -180,7 +181,7 @@ func TestScarceIdentifiersDropEncoders(t *testing.T) {
 		}
 		if !sp.Encode {
 			for _, pr := range sp.Roles {
-				if pr.Role == RoleEncode {
+				if pr.Role == zswitch.RoleEncode {
 					t.Errorf("demoted switch %s kept encode port %d", sp.Name, pr.Port)
 				}
 			}

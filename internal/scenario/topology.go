@@ -253,7 +253,7 @@ func specFromPlan(spec Spec, g *topo.Graph, plan *placement.Plan, flows []topo.F
 		for j, p := range sw.Ports {
 			ss.Ports = append(ss.Ports, PortSpec{
 				Port: p.Num,
-				Role: roleName(sp.Roles[j].Role),
+				Role: sp.Roles[j].Role.String(),
 				Out:  p.Num, // ignored: Routes forward by destination
 			})
 		}
@@ -289,17 +289,6 @@ func specFromPlan(spec Spec, g *topo.Graph, plan *placement.Plan, flows []topo.F
 		}
 	}
 	return out
-}
-
-// roleName maps a placement role to the spec's role string.
-func roleName(r placement.Role) string {
-	switch r {
-	case placement.RoleEncode:
-		return RoleEncode
-	case placement.RoleDecode:
-		return RoleDecode
-	}
-	return RoleForward
 }
 
 // profileScores runs the truncated profiling pass greedy placement

@@ -11,4 +11,7 @@
 // learning delay are properties of parameter ranges, not single runs,
 // and the network-wide picture of Packet-Level Network Compression
 // (Beirami et al.) only emerges from such sweeps.
+//
+// ApplyParam is the one mapping from a param name to the scenario
+// field it sets; zipline-sim's override flags go through it too.
 package sweep

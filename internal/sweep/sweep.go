@@ -187,7 +187,7 @@ func ParamNames() []string {
 	return []string{
 		"preset", "seed", "records", "pps", "workload", "trace",
 		"placement", "k",
-		"id_bits", "m", "t", "ttl_ms", "ttl_ns", "duration_ms",
+		"id_bits", "m", "t", "ttl_ms", "duration_ms",
 		"loss_prob", "dup_prob", "reorder_prob", "reorder_delay_ns", "extra_latency_ns",
 		"control_loss_prob", "restart_down_ms",
 	}
@@ -263,7 +263,7 @@ func Expand(s Spec) ([]Cell, error) {
 			p := Param{Param: ax.Param, Value: ax.Values[coords[a]]}
 			cell.Params = append(cell.Params, p)
 			nameParts = append(nameParts, p.Param+"="+p.Value.String())
-			if err := applyParam(&cell.Spec, ax, p.Value); err != nil {
+			if err := ApplyParam(&cell.Spec, ax, p.Value); err != nil {
 				return nil, fmt.Errorf("cell %d (%s): %w", idx, strings.Join(nameParts, ","), err)
 			}
 		}
@@ -306,8 +306,10 @@ func wantStr(param string, v Value) (string, error) {
 	return v.Str, nil
 }
 
-// applyParam writes one coordinate into a scenario spec.
-func applyParam(sp *scenario.Spec, ax Axis, v Value) error {
+// ApplyParam writes one coordinate into a scenario spec. It is the one
+// place a setting name maps to a Spec field: sweep cells and the
+// zipline-sim flag overrides both go through it.
+func ApplyParam(sp *scenario.Spec, ax Axis, v Value) error {
 	switch ax.Param {
 	case "preset":
 		name, err := wantStr(ax.Param, v)
@@ -407,12 +409,6 @@ func applyParam(sp *scenario.Spec, ax Axis, v Value) error {
 			return err
 		}
 		sp.Controller.TTLNs = int64(n * 1e6)
-	case "ttl_ns":
-		n, err := wantNum(ax.Param, v)
-		if err != nil {
-			return err
-		}
-		sp.Controller.TTLNs = int64(n)
 	case "duration_ms":
 		n, err := wantNum(ax.Param, v)
 		if err != nil {

@@ -77,8 +77,8 @@ func TestParallelRoundTripWorkersAndSizes(t *testing.T) {
 			if !bytes.Equal(back, data) {
 				t.Fatalf("workers=%d size=%d: parallel round trip failed", workers, size)
 			}
-			// ParallelWriter → serial Reader (and DecompressBytes).
-			back, err = DecompressBytes(comp)
+			// ParallelWriter → serial Reader (and one-shot DecodeAll).
+			back, err = decodeFresh(comp)
 			if err != nil {
 				t.Fatalf("workers=%d size=%d: serial decode: %v", workers, size, err)
 			}
@@ -91,7 +91,7 @@ func TestParallelRoundTripWorkersAndSizes(t *testing.T) {
 
 func TestParallelReaderReadsSerialStreams(t *testing.T) {
 	data := sensorLike(t, 100_000, 9)
-	comp, err := CompressBytes(data, Config{})
+	comp, err := encodeFresh(data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestParallelShardLockstepUnderEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(comp)
+	back, err := decodeFresh(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestParallelAllMSizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
-		back, err := DecompressBytes(comp)
+		back, err := decodeFresh(comp)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -306,7 +306,7 @@ func TestParallelStreamCorruptionDetected(t *testing.T) {
 		}),
 	}
 	for name, c := range cases {
-		if _, err := DecompressBytes(c); err == nil {
+		if _, err := decodeFresh(c); err == nil {
 			t.Errorf("serial decode of %s succeeded", name)
 		}
 		pr, err := NewParallelReader(bytes.NewReader(c))
@@ -363,7 +363,7 @@ func TestCorruptShardCountDoesNotPreallocate(t *testing.T) {
 	// shard decoders are built lazily, so the header alone costs
 	// nothing and decoding fails cleanly at the missing first group.
 	hdr := []byte{'Z', 'L', 'G', 'D', streamV2, 8, 24, 1, 255, 0, 0, 0}
-	if _, err := DecompressBytes(hdr); err == nil {
+	if _, err := decodeFresh(hdr); err == nil {
 		t.Fatal("truncated hostile header decoded successfully")
 	}
 	pr, err := NewParallelReader(bytes.NewReader(hdr))
@@ -394,7 +394,7 @@ func TestCraftedMultiShardStreamBoundedMemory(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	out, err := DecompressBytes(stream)
+	out, err := decodeFresh(stream)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func TestParallelCompressionStaysClose(t *testing.T) {
 	// the serial one, but on a repetitive workload it must stay in the
 	// same regime (well below 0.5 where serial reaches ~0.15).
 	data := sensorLike(t, 8*defaultSegmentBytes, 21)
-	serial, err := CompressBytes(data, Config{})
+	serial, err := encodeFresh(data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1355,29 +1355,6 @@ func (g *groupReader) trailer(decoded int64) error {
 	return nil
 }
 
-// CompressBytes compresses data in one call through the serial path.
-// For repeated one-shot encodes, a pooled (*Writer).EncodeAll avoids
-// the per-call setup.
-func CompressBytes(data []byte, cfg Config) ([]byte, error) {
-	zw, err := NewWriter(nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return zw.EncodeAll(data, nil), nil
-}
-
-// DecompressBytes decompresses a stream produced by any Writer
-// configuration in one call. For repeated one-shot decodes, a pooled
-// (*Reader).DecodeAll avoids the per-call setup. Dictionary-framed
-// streams need a Reader carrying the Dict (WithDict) instead.
-func DecompressBytes(data []byte) ([]byte, error) {
-	zr, err := NewReader(nil)
-	if err != nil {
-		return nil, err
-	}
-	return zr.DecodeAll(data, nil)
-}
-
 type appendWriter struct{ b []byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {

@@ -57,7 +57,7 @@ func TestWriterFlushStreams(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(buf.Bytes())
+	back, err := decodeFresh(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWriterFlushBeforeInput(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if back, err := DecompressBytes(buf.Bytes()); err != nil || len(back) != 0 {
+	if back, err := decodeFresh(buf.Bytes()); err != nil || len(back) != 0 {
 		t.Fatalf("empty flushed stream: %d bytes, err %v", len(back), err)
 	}
 }

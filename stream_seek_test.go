@@ -51,7 +51,7 @@ func TestIndexedRoundTripSerial(t *testing.T) {
 		// A stream-oriented reader (workers == 1) must decode the v4
 		// container without ever touching the footer — including the
 		// in-band checkpoint resets.
-		back, err := DecompressBytes(comp)
+		back, err := decodeFresh(comp)
 		if err != nil {
 			t.Fatalf("size=%d: %v", size, err)
 		}
@@ -119,7 +119,7 @@ func TestIndexedFooterLayout(t *testing.T) {
 	}
 	// The header promised an index, so a footer-stripped container is
 	// a truncated container — it must not decode cleanly.
-	if _, err := DecompressBytes(comp[:len(comp)-fl]); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeFresh(comp[:len(comp)-fl]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("footer-stripped stream: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -225,7 +225,7 @@ func TestReaderReadAt(t *testing.T) {
 }
 
 func TestSeekRequiresIndex(t *testing.T) {
-	comp, err := CompressBytes(sensorLike(t, 4096, 6), Config{})
+	comp, err := encodeFresh(sensorLike(t, 4096, 6), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestIndexedDecodeDifferential(t *testing.T) {
 			data := sensorLike(t, size, int64(size+every))
 			comp := indexedStream(t, data, every, nil)
 
-			serial, err := DecompressBytes(comp)
+			serial, err := decodeFresh(comp)
 			if err != nil {
 				t.Fatalf("size=%d every=%d: serial: %v", size, every, err)
 			}
@@ -441,7 +441,7 @@ func forgedCheckpointStream(t testing.TB) (comp, plain []byte) {
 func TestForgedCheckpointRejected(t *testing.T) {
 	forged, plain := forgedCheckpointStream(t)
 
-	serial, err := DecompressBytes(forged)
+	serial, err := decodeFresh(forged)
 	if err != nil || !bytes.Equal(serial, plain) {
 		t.Fatalf("serial decode: err = %v, %d bytes; want the %d written", err, len(serial), len(plain))
 	}
@@ -529,7 +529,7 @@ func TestStreamTruncatedAtEveryBoundary(t *testing.T) {
 	data = append(data, []byte("odd-tail")...) // force a tail block
 
 	streams := map[string][]byte{}
-	v1, err := CompressBytes(data, Config{})
+	v1, err := encodeFresh(data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -754,7 +754,7 @@ func FuzzDecodeIndexed(f *testing.F) {
 	f.Add(whole)         // index present, 4 segments
 	f.Add(full(1 << 10)) // many segments
 	f.Add(full(1 << 20)) // single segment
-	if v1, err := CompressBytes(seed[:4096], Config{}); err == nil {
+	if v1, err := encodeFresh(seed[:4096], Config{}); err == nil {
 		f.Add(v1) // index absent
 	}
 	if len(whole) > 12 {
@@ -793,7 +793,7 @@ func FuzzDecodeIndexed(f *testing.F) {
 		// Streaming is one engine under two schedules: exact agreement.
 		differentialLanes(t, data)
 
-		serial, serialErr := DecompressBytes(data)
+		serial, serialErr := decodeFresh(data)
 
 		zr, err := NewReader(nil, WithWorkers(4))
 		if err != nil {

@@ -7,16 +7,36 @@ import (
 	"testing"
 )
 
+// encodeFresh encodes data as one stream through a fresh serial
+// Writer: NewWriter(nil, cfg).EncodeAll.
+func encodeFresh(data []byte, cfg Config) ([]byte, error) {
+	zw, err := NewWriter(nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return zw.EncodeAll(data, nil), nil
+}
+
+// decodeFresh decodes one stream of any dictless container version
+// through a fresh Reader: NewReader(nil).DecodeAll.
+func decodeFresh(data []byte) ([]byte, error) {
+	zr, err := NewReader(nil)
+	if err != nil {
+		return nil, err
+	}
+	return zr.DecodeAll(data, nil)
+}
+
 func TestStreamRoundTripRandomSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{0, 1, 31, 32, 33, 64, 1000, 100_000} {
 		data := make([]byte, size)
 		rng.Read(data)
-		comp, err := CompressBytes(data, Config{})
+		comp, err := encodeFresh(data, Config{})
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
-		back, err := DecompressBytes(comp)
+		back, err := decodeFresh(comp)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -32,7 +52,7 @@ func TestStreamCompressesRepetitiveData(t *testing.T) {
 	chunk := make([]byte, 32)
 	rand.New(rand.NewSource(2)).Read(chunk)
 	data := bytes.Repeat(chunk, 10_000)
-	comp, err := CompressBytes(data, Config{})
+	comp, err := encodeFresh(data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +61,7 @@ func TestStreamCompressesRepetitiveData(t *testing.T) {
 	if ratio > 0.12 {
 		t.Fatalf("ratio = %.4f, want ≤ 0.12", ratio)
 	}
-	back, err := DecompressBytes(comp)
+	back, err := decodeFresh(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +76,7 @@ func TestStreamRandomDataCostsLittle(t *testing.T) {
 	// additional bits" property, modulo framing).
 	data := make([]byte, 64_000)
 	rand.New(rand.NewSource(3)).Read(data)
-	comp, err := CompressBytes(data, Config{})
+	comp, err := encodeFresh(data, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +156,7 @@ func TestStreamSplitWrites(t *testing.T) {
 
 func TestStreamSmallReads(t *testing.T) {
 	data := bytes.Repeat([]byte("zipline!"), 1000)
-	comp, _ := CompressBytes(data, Config{M: 5})
+	comp, _ := encodeFresh(data, Config{M: 5})
 	zr := mustReader(t, bytes.NewReader(comp))
 	var out []byte
 	buf := make([]byte, 7) // deliberately tiny
@@ -168,11 +188,11 @@ func TestStreamDictionaryEvictionLockstep(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		data = append(data, chunks[rng.Intn(len(chunks))]...)
 	}
-	comp, err := CompressBytes(data, Config{IDBits: 4})
+	comp, err := encodeFresh(data, Config{IDBits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(comp)
+	back, err := decodeFresh(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +206,11 @@ func TestStreamAllMSizes(t *testing.T) {
 	data := make([]byte, 5000)
 	rng.Read(data)
 	for m := 3; m <= 15; m++ {
-		comp, err := CompressBytes(data, Config{M: m})
+		comp, err := encodeFresh(data, Config{M: m})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
-		back, err := DecompressBytes(comp)
+		back, err := decodeFresh(comp)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -202,7 +222,7 @@ func TestStreamAllMSizes(t *testing.T) {
 
 func TestStreamCorruptionDetected(t *testing.T) {
 	data := bytes.Repeat([]byte{0xAA}, 3200)
-	comp, _ := CompressBytes(data, Config{})
+	comp, _ := encodeFresh(data, Config{})
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad magic":   append([]byte("NOPE"), comp[4:]...),
@@ -212,7 +232,7 @@ func TestStreamCorruptionDetected(t *testing.T) {
 		"bad m":       append(append([]byte{}, comp[:5]...), append([]byte{77}, comp[6:]...)...),
 	}
 	for name, c := range cases {
-		if _, err := DecompressBytes(c); err == nil {
+		if _, err := decodeFresh(c); err == nil {
 			t.Errorf("%s: decoded successfully", name)
 		}
 	}
@@ -232,11 +252,11 @@ func TestStreamWriteAfterClose(t *testing.T) {
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	comp, err := CompressBytes(nil, Config{})
+	comp, err := encodeFresh(nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(comp)
+	back, err := decodeFresh(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +281,7 @@ func BenchmarkStreamCompress(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressBytes(data, Config{}); err != nil {
+		if _, err := encodeFresh(data, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,11 +291,11 @@ func BenchmarkStreamDecompress(b *testing.B) {
 	chunk := make([]byte, 32)
 	rand.New(rand.NewSource(1)).Read(chunk)
 	data := bytes.Repeat(chunk, 4096)
-	comp, _ := CompressBytes(data, Config{})
+	comp, _ := encodeFresh(data, Config{})
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecompressBytes(comp); err != nil {
+		if _, err := decodeFresh(comp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -215,11 +215,11 @@ func TestBCHStreamRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	data := make([]byte, 20_000)
 	rng.Read(data)
-	comp, err := CompressBytes(data, Config{T: 2})
+	comp, err := encodeFresh(data, Config{T: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecompressBytes(comp)
+	back, err := decodeFresh(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
