@@ -224,6 +224,125 @@ func TestReaderReadAt(t *testing.T) {
 	}
 }
 
+// TestReadAtWindows pins ReadAt, and the stream position it leaves
+// behind, against the plaintext over seeded windows of every kind:
+// mid-chunk offsets, chunk and checkpoint boundaries, windows spanning
+// a checkpoint, empty windows, the last byte and windows running past
+// the end. After each ReadAt a Read to EOF must return the rest of the
+// stream, and a relative Seek back must serve the same bytes again. The
+// BCH configuration takes the generic record path, the flushed one cuts
+// each checkpoint span into several groups.
+func TestReadAtWindows(t *testing.T) {
+	dict, err := TrainDict(sensorLike(t, 1<<14, 61), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const every = 4 << 10
+	plain := sensorLike(t, 40<<10+13, 62)
+	size := int64(len(plain))
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		dict       *Dict
+		flushEvery int // plaintext bytes between Flushes; 0: none
+	}{
+		{"default", Config{}, nil, 0},
+		{"dict", Config{}, dict, 0},
+		{"bch-t2", Config{T: 2}, nil, 0},
+		{"flushed", Config{}, nil, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			opts := []Option{tc.cfg, WithIndex(every)}
+			var ropts []Option
+			if tc.dict != nil {
+				opts = append(opts, WithDict(tc.dict))
+				ropts = append(ropts, WithDict(tc.dict))
+			}
+			zw, err := NewWriter(&buf, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := len(plain)
+			if tc.flushEvery > 0 {
+				step = tc.flushEvery
+			}
+			for rest := plain; len(rest) > 0; {
+				n := min(step, len(rest))
+				if _, err := zw.Write(rest[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if tc.flushEvery > 0 {
+					if err := zw.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rest = rest[n:]
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cs := int64(MustCodec(tc.cfg).ChunkSize())
+
+			windows := [][2]int64{
+				{0, 0}, {0, 1}, {0, 4096}, {cs - 1, cs + 2}, {cs, cs},
+				{every - 1, 2}, {every, 100}, {every - 100, 200},
+				{3*every + 17, 2 * every}, {5*every - cs, cs},
+				{size - 1, 1}, {size - 1, 10}, {size - 5, 100},
+				{size, 0}, {size, 5}, {size - size%cs, size % cs},
+			}
+			rng := newTestRand(63)
+			for len(windows) < 80 {
+				var off int64
+				switch rng.Intn(4) {
+				case 0: // chunk boundary
+					off = rng.Int63n(size/cs+1) * cs
+				case 1: // near a checkpoint
+					off = rng.Int63n(size/every+1)*every + rng.Int63n(2*cs) - cs
+				default: // anywhere, mid-chunk included
+					off = rng.Int63n(size + 1)
+				}
+				off = max(0, min(off, size))
+				windows = append(windows, [2]int64{off, rng.Int63n(3 * every)})
+			}
+
+			zr, err := NewReader(bytes.NewReader(buf.Bytes()), ropts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range windows {
+				off, n := w[0], w[1]
+				want := plain[off:min(off+n, size)]
+				p := make([]byte, n)
+				got, err := zr.ReadAt(p, off)
+				if off+n > size {
+					if got != len(want) || err != io.EOF {
+						t.Fatalf("ReadAt(off=%d, n=%d) past the end = %d, %v; want %d, io.EOF", off, n, got, err, len(want))
+					}
+				} else if got != int(n) || err != nil {
+					t.Fatalf("ReadAt(off=%d, n=%d) = %d, %v", off, n, got, err)
+				}
+				if !bytes.Equal(p[:got], want) {
+					t.Fatalf("ReadAt(off=%d, n=%d) returned the wrong bytes", off, n)
+				}
+				rest, err := io.ReadAll(zr)
+				if err != nil || !bytes.Equal(rest, plain[off+int64(got):]) {
+					t.Fatalf("Read to EOF after ReadAt(off=%d, n=%d): %d bytes, %v; want the %d after the window",
+						off, n, len(rest), err, size-off-int64(got))
+				}
+				k := 1 + rng.Int63n(min(size, 3*every))
+				if pos, err := zr.Seek(-k, io.SeekCurrent); err != nil || pos != size-k {
+					t.Fatalf("Seek(-%d, io.SeekCurrent) at the end = %d, %v; want %d", k, pos, err, size-k)
+				}
+				back, err := io.ReadAll(zr)
+				if err != nil || !bytes.Equal(back, plain[size-k:]) {
+					t.Fatalf("Read after Seek(-%d, io.SeekCurrent): %d bytes, %v", k, len(back), err)
+				}
+			}
+		})
+	}
+}
+
 func TestSeekRequiresIndex(t *testing.T) {
 	comp, err := encodeFresh(sensorLike(t, 4096, 6), Config{})
 	if err != nil {
