@@ -447,6 +447,40 @@ func BenchmarkDecodeAllIndexed(b *testing.B) {
 	}
 }
 
+// BenchmarkReaderReadAt measures random 4 KiB ReadAt windows over an
+// indexed sensor container, the HTTP-range pattern: a checkpoint jump,
+// a dictionary replay to the window and a merge of only the window's
+// chunks. Expect 0 allocs/op, pinned by TestReadAtAllocs.
+func BenchmarkReaderReadAt(b *testing.B) {
+	data := benchStreamData(4 << 20)
+	dict := benchDict(b)
+	enc, err := zipline.NewWriter(nil, zipline.WithDict(dict), zipline.WithIndex(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	zr, err := zipline.NewReader(bytes.NewReader(enc.EncodeAll(data, nil)), zipline.WithDict(dict))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	offs := make([]int64, 1024)
+	for i := range offs {
+		offs[i] = rng.Int63n(int64(len(data) - 4096 + 1))
+	}
+	p := make([]byte, 4096)
+	if _, err := zr.ReadAt(p, offs[0]); err != nil { // warmup: the index and buffers
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(p)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := zr.ReadAt(p, offs[i%len(offs)]); n != len(p) || err != nil {
+			b.Fatalf("ReadAt: %d bytes, %v", n, err)
+		}
+	}
+}
+
 // BenchmarkWriterReset measures a pooled Writer re-serving streams
 // through Reset with a warm shared dictionary. Expect 0 allocs/op —
 // pinned by TestWriterResetZeroAllocs.

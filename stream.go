@@ -200,14 +200,33 @@ type blockDecoder struct {
 	dict  *gd.Dictionary
 	stats *StreamStats
 	br    bitvec.Reader // reused per block; live only inside decodeRecords
+
+	// Random-access bounds, set only by the serial Reader's seekTo and
+	// ReadAt; zero (no skip, unbounded) on every other path. The next
+	// skip records are replayed into the dictionary without being
+	// merged; then, when bounded, decodeRecords stops parsing once left
+	// more records have been merged (left counts every merge down, and
+	// means something only while bounded).
+	skip    int64
+	bounded bool
+	left    int64
 }
 
 func newBlockDecoder(codec *Codec, stats *StreamStats, d *Dict) *blockDecoder {
 	return &blockDecoder{codec: codec, dict: newStreamDictionary(codec, d), stats: stats}
 }
 
+// reset starts d on a new dictionary timeline: the dictionary back to
+// its frozen prefix, nothing to skip, unbounded.
+func (d *blockDecoder) reset() {
+	d.dict.Reset()
+	d.skip, d.bounded = 0, false
+}
+
 // decodeRecords replays one block of records, appending the decoded
-// bytes to out.
+// bytes to out. Skipped records (d.skip) update the dictionary, Stats
+// and nothing else; a bound (d.bounded) that runs out stops the parse
+// mid-block.
 func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byte, error) {
 	br := &d.br
 	br.ResetBits(body, bitLen)
@@ -218,6 +237,9 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 	k := d.codec.BasisBits()
 	idBits := d.codec.cfg.IDBits
 	for br.Remaining() > 0 {
+		if d.skip == 0 && d.bounded && d.left == 0 {
+			return out, nil
+		}
 		hit, err := br.ReadBit()
 		if err != nil {
 			return out, fmt.Errorf("%w: truncated record", ErrCorrupt)
@@ -255,6 +277,10 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 			d.stats.Misses++
 		}
 		d.stats.Chunks++
+		if d.skip > 0 {
+			d.skip--
+			continue
+		}
 		out, err = d.codec.inner.MergeChunk(gd.Split{
 			Basis:     basis,
 			Deviation: uint32(dev),
@@ -263,6 +289,7 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 		if err != nil {
 			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
+		d.left--
 	}
 	return out, nil
 }
@@ -735,6 +762,9 @@ type Reader struct {
 	pos    int64 // uncompressed read position (Seek/ReadAt)
 	idx    *streamIndex
 	jumped bool // seekTo entered the next group from the index; readBlock checks it
+	// partial: a ReadAt's bound ran out, so the decoder may have stopped
+	// mid-group; Read replays to pos before it decodes on.
+	partial bool
 
 	out     []byte // decoded bytes not yet read
 	outBuf  []byte // recycled backing array for out (streaming Read path)
@@ -791,7 +821,7 @@ func (zr *Reader) Reset(r io.Reader) {
 	zr.seeker, zr.origin, zr.pos = nil, 0, 0
 	zr.idx = nil
 	zr.out = nil
-	zr.done, zr.started, zr.jumped = false, false, false
+	zr.done, zr.started, zr.jumped, zr.partial = false, false, false, false
 	zr.err = nil
 	zr.Stats = StreamStats{}
 }
@@ -839,7 +869,7 @@ func (zr *Reader) start() error {
 	if zr.decCodec != nil && zr.decCodec.cfg == info.codec.cfg && len(zr.decs) == info.shards && zr.decDict == dict {
 		for _, dec := range zr.decs {
 			if dec != nil {
-				dec.dict.Reset()
+				dec.reset()
 			}
 		}
 	} else {
@@ -974,15 +1004,18 @@ func (zr *Reader) Read(p []byte) (int, error) {
 			zr.err = io.EOF
 			return 0, io.EOF
 		}
-		// The previous block's output has been fully copied out; decode
-		// the next one into the same backing array so the streaming
-		// steady state allocates nothing.
-		zr.out = zr.outBuf[:0]
-		if err := zr.readBlock(); err != nil {
+		var err error
+		if zr.partial {
+			// A ReadAt stopped decoding at the end of its range: replay
+			// the dictionary from the checkpoint to where reading left off.
+			err = zr.seekTo(uint64(zr.pos), -1)
+		} else {
+			err = zr.nextBlock()
+		}
+		if err != nil {
 			zr.err = err
 			return 0, err
 		}
-		zr.outBuf = zr.out
 	}
 	n := copy(p, zr.out)
 	zr.out = zr.out[n:]
@@ -990,15 +1023,33 @@ func (zr *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// nextBlock decodes the next group into the recycled output buffer,
+// so the streaming steady state allocates nothing; out must be drained.
+// outBuf keeps the whole array, so a prefix resliced off out never
+// shrinks what the next group decodes into.
+func (zr *Reader) nextBlock() error {
+	zr.out = zr.outBuf[:0]
+	err := zr.readBlock()
+	zr.outBuf = zr.out
+	return err
+}
+
 // Seek implements io.Seeker over the uncompressed stream. It requires
 // an indexed container (WithIndex) on an io.ReadSeeker source and the
 // serial decode path (workers == 1): the reader jumps to the last
-// dictionary checkpoint at or before the target and replays forward,
-// discarding until the offset — so a seek costs at most one checkpoint
-// interval of decoding. Seeking clears a prior io.EOF; after a seek,
-// Stats no longer describe a single linear pass. A non-indexed stream
-// returns ErrNoIndex.
+// dictionary checkpoint at or before the target, replays the dictionary
+// from the checkpoint and rebuilds only the bytes returned — so a seek
+// costs at most one checkpoint interval of record parsing, and reading
+// on decodes whole groups as streaming does. Seeking clears a prior
+// io.EOF; after a seek, Stats no longer describe a single linear pass.
+// A non-indexed stream returns ErrNoIndex.
 func (zr *Reader) Seek(offset int64, whence int) (int64, error) {
+	return zr.seek(offset, whence, -1)
+}
+
+// seek is Seek for a window of the given length (a ReadAt) or, for
+// window < 0, for reading on without bound.
+func (zr *Reader) seek(offset int64, whence, window int) (int64, error) {
 	if zr.err != nil && zr.err != io.EOF {
 		return 0, zr.err
 	}
@@ -1043,7 +1094,7 @@ func (zr *Reader) Seek(offset int64, whence int) (int64, error) {
 	if target < 0 || target > int64(zr.idx.uncompTotal) {
 		return 0, fmt.Errorf("zipline: Seek to %d outside a stream of %d bytes", target, zr.idx.uncompTotal)
 	}
-	if err := zr.seekTo(uint64(target)); err != nil {
+	if err := zr.seekTo(uint64(target), window); err != nil {
 		zr.err = err
 		return 0, err
 	}
@@ -1052,10 +1103,16 @@ func (zr *Reader) Seek(offset int64, whence int) (int64, error) {
 }
 
 // seekTo repositions the decode state at uncompressed offset target:
-// jump the source to the governing checkpoint's group, reset the
-// basis dictionary to the frozen prefix, and decode-and-discard up to
-// the target.
-func (zr *Reader) seekTo(target uint64) error {
+// jump the source to the governing checkpoint's group, reset the basis
+// dictionary to the frozen prefix, and replay forward to the target.
+// Whole records before the target go through the dictionary without
+// being merged. That holds on the Hamming path (T == 1) only, whose
+// merge can fail on nothing the record parser has not already bounded;
+// the generic path merges and discards, so its errors surface where
+// they always have. A window >= 0 bounds the records merged after the
+// skip to the chunks that cover window bytes from the target; window
+// < 0 leaves the decode unbounded.
+func (zr *Reader) seekTo(target uint64, window int) error {
 	ckGroup, g, ok := zr.idx.checkpointAtOrBefore(target)
 	off, seq, pos := int64(zr.idx.trailerOff), uint32(len(zr.idx.groups)), zr.idx.uncompTotal
 	zr.jumped = ok && target < zr.idx.uncompTotal
@@ -1068,36 +1125,52 @@ func (zr *Reader) seekTo(target uint64) error {
 	// The framing walk resumes at the jumped-to group, so the trailer's
 	// footer check still compares against what this walk passes.
 	zr.gr.seq, zr.gr.off, zr.decoded = seq, off, int64(pos)
-	zr.done = false
-	zr.out = nil
-	if len(zr.decs) > 0 && zr.decs[0] != nil {
-		zr.decs[0].dict.Reset()
+	zr.done, zr.partial = false, false
+	zr.out = zr.outBuf[:0]
+	dec := zr.decoder(0)
+	dec.reset()
+	cs := uint64(zr.codec.ChunkSize())
+	if zr.codec.cfg.T == 1 {
+		dec.skip = int64((target - pos) / cs)
+	}
+	if window >= 0 {
+		rem := target - pos - uint64(dec.skip)*cs
+		dec.bounded, dec.left = true, int64((rem+uint64(window)+cs-1)/cs)
 	}
 	if zr.jumped {
 		// Decode the jumped-to group inside the Seek, so that a group the
 		// index wrongly lists as a checkpoint fails here (readBlock holds
 		// it to its in-band flag) and not at some later Read.
-		if err := zr.readBlock(); err != nil {
+		if err := zr.nextBlock(); err != nil {
 			return err
 		}
 	}
-	for pos < target {
+	// zr.decoded counts every byte of the groups walked, skipped or
+	// merged, so out starts at stream offset zr.decoded − len(out).
+	for {
+		pos = uint64(zr.decoded) - uint64(len(zr.out))
+		if pos > target {
+			// Skipped records are whole chunks: only raw tail bytes inside
+			// the skipped span, which no writer emits, overshoot.
+			return fmt.Errorf("%w: raw tail inside the span replayed to %d", ErrCorrupt, target)
+		}
+		if pos == target {
+			break
+		}
 		if len(zr.out) > 0 {
-			skip := uint64(len(zr.out))
-			if skip > target-pos {
-				skip = target - pos
-			}
-			zr.out = zr.out[skip:]
-			pos += skip
+			zr.out = zr.out[min(uint64(len(zr.out)), target-pos):]
 			continue
 		}
 		if zr.done {
 			return fmt.Errorf("%w: stream ends at %d before seek target %d", ErrCorrupt, pos, target)
 		}
-		if err := zr.readBlock(); err != nil {
+		if err := zr.nextBlock(); err != nil {
 			return err
 		}
 	}
+	// Raw tails inside the skipped span can also leave a count behind;
+	// it must not reach the records after the target.
+	dec.skip = 0
 	return nil
 }
 
@@ -1107,10 +1180,20 @@ func (zr *Reader) seekTo(target uint64) error {
 // with Read, Seek or each other, and the read position moves to the
 // end of the range. Fewer than len(p) bytes are returned only at the
 // end of the stream, with io.EOF.
+//
+// Like Seek, ReadAt replays the dictionary from the checkpoint and
+// rebuilds only the bytes returned: record parsing stops at the chunk
+// that ends the range, and a Read after it first replays from the
+// checkpoint again. So a corrupt record inside the range fails the
+// ReadAt with ErrCorrupt, while one after the range, even in the same
+// group, fails the Read that reaches it, and that error is sticky.
+// Sequential Read and DecodeAll decode every record as before.
 func (zr *Reader) ReadAt(p []byte, off int64) (int, error) {
-	if _, err := zr.Seek(off, io.SeekStart); err != nil {
+	if _, err := zr.seek(off, io.SeekStart, len(p)); err != nil {
 		return 0, err
 	}
+	// The bound is this call's: a Read after it streams on unbounded.
+	defer func() { zr.decs[0].bounded = false }()
 	n := 0
 	for n < len(p) {
 		m, err := zr.Read(p[n:])
@@ -1177,13 +1260,23 @@ func (zr *Reader) readBlock() error {
 		zr.out = append(zr.out, tail...)
 		zr.Stats.TailBytes += uint64(len(tail))
 	} else {
-		if zr.decs[h.shard] == nil {
-			zr.decs[h.shard] = newBlockDecoder(zr.codec, &zr.Stats, zr.streamDict)
-		}
-		zr.out, err = zr.decs[h.shard].decodeGroup(h, body, zr.out)
+		dec := zr.decoder(h.shard)
+		skip := dec.skip
+		zr.out, err = dec.decodeGroup(h, body, zr.out)
+		zr.decoded += (skip - dec.skip) * int64(zr.codec.ChunkSize())
+		zr.partial = dec.bounded && dec.left == 0
 	}
 	zr.decoded += int64(len(zr.out) - before)
 	return err
+}
+
+// decoder returns the serial path's decoder for shard, built on first
+// use.
+func (zr *Reader) decoder(shard uint8) *blockDecoder {
+	if zr.decs[shard] == nil {
+		zr.decs[shard] = newBlockDecoder(zr.codec, &zr.Stats, zr.streamDict)
+	}
+	return zr.decs[shard]
 }
 
 // decodeAllInto drains the whole stream, appending decoded bytes to

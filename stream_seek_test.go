@@ -11,6 +11,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"zipline/internal/bitvec"
 )
 
 // indexedStream compresses data under WithIndex with the given
@@ -340,6 +342,214 @@ func TestReadAtWindows(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadAtAllocs pins the random-read steady state: a warm 4 KiB
+// ReadAt decodes into the Reader's recycled output buffer and, with
+// every record a dictionary hit, allocates nothing.
+func TestReadAtAllocs(t *testing.T) {
+	plain := sensorLike(t, 256<<10, 64)
+	dict, err := TrainDict(plain, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := NewReader(bytes.NewReader(indexedStream(t, plain, 0, dict)), WithDict(dict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := newTestRand(65)
+	offs := make([]int64, 64)
+	for i := range offs {
+		offs[i] = rng.Int63n(int64(len(plain)) - 4096 + 1)
+	}
+	p := make([]byte, 4096)
+	i := 0
+	read := func() {
+		off := offs[i%len(offs)]
+		i++
+		if n, err := zr.ReadAt(p, off); n != len(p) || err != nil || !bytes.Equal(p, plain[off:off+4096]) {
+			t.Fatalf("ReadAt(off=%d) = %d, %v", off, n, err)
+		}
+	}
+	for range offs {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("warm 4 KiB ReadAt = %v allocs, want 0", allocs)
+	}
+}
+
+// recordIDBits walks the records of the given group of an indexed
+// container and returns, per record, the container bit offset of its
+// identifier's most significant bit, or -1 for a miss.
+func recordIDBits(t *testing.T, comp []byte, group int) []int {
+	t.Helper()
+	ix, err := readIndexFooter(bytes.NewReader(comp), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := MustCodec(Config{})
+	start := int(ix.groups[group].compOff) + groupHeaderLen(streamV4)
+	bitLen := int(binary.LittleEndian.Uint32(comp[ix.groups[group].compOff+4:]))
+	var br bitvec.Reader
+	br.ResetBits(comp[start:], bitLen)
+	var ids []int
+	for br.Remaining() > 0 {
+		hit, _ := br.ReadBit()
+		br.ReadUint(codec.DeviationBits() + 1)
+		if !hit {
+			ids = append(ids, -1)
+			br.ReadVector(codec.BasisBits())
+			continue
+		}
+		ids = append(ids, start*8+br.Pos())
+		br.ReadUint(codec.cfg.IDBits)
+	}
+	return ids
+}
+
+// TestReadAtCorruptRecord states the corruption contract of a bounded
+// ReadAt. A record whose identifier was flipped to one the dictionary
+// never assigned fails the ReadAt whose range holds it. The same flip
+// after the range, in the same group, leaves the ReadAt's bytes intact
+// and fails the Read that reaches it, stickily. Sequential Read,
+// DecodeAll and the lanes reject the stream as they always have.
+func TestReadAtCorruptRecord(t *testing.T) {
+	plain := sensorLike(t, 64<<10, 66)
+	comp := indexedStream(t, plain, 0, nil)
+	const group = 1 // the second 16 KiB checkpoint span, one group
+	ids := recordIDBits(t, comp, group)
+	// The window covers records 100..228 of the group.
+	off, n := int64(defaultCheckpointBytes+100*32+5), 4096
+	firstHit := func(from, to int) int {
+		for i := from; i < to; i++ {
+			if ids[i] >= 0 {
+				return ids[i]
+			}
+		}
+		t.Fatalf("no hit among records %d..%d", from, to)
+		return 0
+	}
+	flip := func(bit int) []byte {
+		b := append([]byte(nil), comp...)
+		b[bit>>3] ^= 0x80 >> (bit & 7)
+		return b
+	}
+	inside, after := flip(firstHit(150, 200)), flip(firstHit(300, len(ids)))
+
+	zr, err := NewReader(bytes.NewReader(inside))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zr.ReadAt(make([]byte, n), off); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadAt over a corrupt record: err = %v, want ErrCorrupt", err)
+	}
+
+	zr, err = NewReader(bytes.NewReader(after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, n)
+	if got, err := zr.ReadAt(p, off); got != n || err != nil || !bytes.Equal(p, plain[off:off+int64(n)]) {
+		t.Fatalf("ReadAt before a corrupt record = %d, %v", got, err)
+	}
+	if _, err := io.ReadAll(zr); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read reaching the corrupt record: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := zr.Read(make([]byte, 1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read after the failure: err = %v, want the sticky ErrCorrupt", err)
+	}
+
+	for _, bad := range [][]byte{inside, after} {
+		if _, err := decodeFresh(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("sequential Read: err = %v, want ErrCorrupt", err)
+		}
+		fan, err := NewReader(nil, WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fan.DecodeAll(bad, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("fan-out DecodeAll: err = %v, want ErrCorrupt", err)
+		}
+		lanes, err := NewReader(iotest.OneByteReader(bytes.NewReader(bad)), WithWorkers(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadAll(lanes); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("lanes: err = %v, want ErrCorrupt", err)
+		}
+		lanes.Close()
+	}
+}
+
+// TestSeekThroughMidStreamTail: no writer puts a raw tail anywhere but
+// last, but a crafted container can, and the serial walk accepts it.
+// Seek skips records, not bytes, so a tail inside the skipped span can
+// carry the walk past the target. Every seek must then land exactly or
+// fail with ErrCorrupt, never serve bytes from another offset.
+func TestSeekThroughMidStreamTail(t *testing.T) {
+	chunks := sensorLike(t, 15*32, 67)
+	var buf bytes.Buffer
+	zw, err := NewWriter(&buf, WithIndex(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(chunks[:320])
+	if err := zw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(chunks[320:])
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	comp := buf.Bytes()
+	ix, err := readIndexFooter(bytes.NewReader(comp), 0)
+	if err != nil || len(ix.groups) != 2 {
+		t.Fatalf("writer emitted %v groups, %v; want 2", len(ix.groups), err)
+	}
+	// Splice a five-byte raw tail in as group 1 and renumber the second
+	// record group to 2.
+	tail := []byte("tail!")
+	g1 := append([]byte(nil), comp[ix.groups[1].compOff:ix.trailerOff]...)
+	binary.LittleEndian.PutUint32(g1[8:], 2)
+	forged := append([]byte(nil), comp[:ix.groups[1].compOff]...)
+	tailOff := uint64(len(forged))
+	forged = binary.LittleEndian.AppendUint32(forged, uint32(3+len(tail)))
+	forged = binary.LittleEndian.AppendUint32(forged, tailBlockFlag|uint32(8*(3+len(tail))))
+	forged = binary.LittleEndian.AppendUint32(forged, 1)
+	forged = append(forged, 0, 0, 0, 0, 0xFF, byte(len(tail)), 0)
+	forged = append(forged, tail...)
+	g1Off := uint64(len(forged))
+	forged = append(forged, g1...)
+	fix := streamIndex{
+		uncompTotal: uint64(len(chunks) + len(tail)),
+		trailerOff:  uint64(len(forged)),
+		groups:      []indexGroup{ix.groups[0], {tailOff, 320}, {g1Off, 320 + uint64(len(tail))}},
+		checkpoints: []uint32{0},
+	}
+	forged = append(forged, make([]byte, 16)...)
+	forged = fix.appendFooter(forged)
+	plain := bytes.Join([][]byte{chunks[:320], tail, chunks[320:]}, nil)
+
+	if back, err := decodeFresh(forged); err != nil || !bytes.Equal(back, plain) {
+		t.Fatalf("serial decode of the spliced stream: %v", err)
+	}
+	zr, err := NewReader(bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off <= int64(len(plain)); off++ {
+		if _, err := zr.Seek(off, io.SeekStart); err != nil {
+			if !errors.Is(err, ErrCorrupt) || off <= 320 {
+				t.Fatalf("Seek(%d): %v", off, err)
+			}
+			zr.Reset(bytes.NewReader(forged))
+			continue
+		}
+		if rest, err := io.ReadAll(zr); err != nil || !bytes.Equal(rest, plain[off:]) {
+			t.Fatalf("Read after Seek(%d): %d bytes, %v; want the %d after it", off, len(rest), err, len(plain)-int(off))
+		}
 	}
 }
 
@@ -965,6 +1175,29 @@ func FuzzDecodeIndexed(f *testing.F) {
 				if !bytes.Equal(buf, serial[off:int(off)+n]) {
 					t.Fatal("Seek round trip diverges from serial decode")
 				}
+			}
+			// A ReadAt window the input picks, then a Read on from its
+			// end: both must agree with the serial decode.
+			off = int64(len(serial)) * int64(data[0]) / 256
+			n := int(data[len(data)-1]) << 5
+			if len(data) > 1 {
+				n |= int(data[1] & 31)
+			}
+			ra, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := make([]byte, n)
+			got, err := ra.ReadAt(p, off)
+			if err != nil && err != io.EOF {
+				return
+			}
+			want := serial[off:min(int(off)+n, len(serial))]
+			if got != len(want) || (err == io.EOF) != (int(off)+n > len(serial)) || !bytes.Equal(p[:got], want) {
+				t.Fatalf("ReadAt(off=%d, n=%d) = %d, %v; diverges from serial decode", off, n, got, err)
+			}
+			if rest, err := io.ReadAll(ra); err == nil && !bytes.Equal(rest, serial[int(off)+got:]) {
+				t.Fatalf("Read after ReadAt(off=%d, n=%d) diverges from serial decode", off, n)
 			}
 		}
 	})
