@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrShortBuffer is returned by Reader when a read runs past the end
@@ -53,9 +54,13 @@ func (w *Writer) WriteVector(v *Vector) {
 }
 
 // grow extends the buffer with zero bytes until it holds n more bits.
+// It reslices and clears instead of appending a fresh zero slice: the
+// compiler elides that slice's allocation, but not under -race.
 func (w *Writer) grow(n int) {
 	if need := (w.nbit + n + 7) >> 3; need > len(w.buf) {
-		w.buf = append(w.buf, make([]byte, need-len(w.buf))...)
+		old := len(w.buf)
+		w.buf = slices.Grow(w.buf, need-old)[:need]
+		clear(w.buf[old:])
 	}
 }
 
