@@ -1184,10 +1184,10 @@ func (zr *Reader) seekTo(target uint64, window int) error {
 // Like Seek, ReadAt replays the dictionary from the checkpoint and
 // rebuilds only the bytes returned: record parsing stops at the chunk
 // that ends the range, and a Read after it first replays from the
-// checkpoint again. So a corrupt record inside the range fails the
-// ReadAt with ErrCorrupt, while one after the range, even in the same
-// group, fails the Read that reaches it, and that error is sticky.
-// Sequential Read and DecodeAll decode every record as before.
+// checkpoint again. So a record the decoder rejects inside the range
+// fails the ReadAt with ErrCorrupt, while one after the range, even in
+// the same group, fails the Read that reaches it, and that error is
+// sticky. Sequential Read and DecodeAll decode every record as before.
 func (zr *Reader) ReadAt(p []byte, off int64) (int, error) {
 	if _, err := zr.seek(off, io.SeekStart, len(p)); err != nil {
 		return 0, err
