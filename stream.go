@@ -205,8 +205,7 @@ type blockDecoder struct {
 	// ReadAt; zero (no skip, unbounded) on every other path. The next
 	// skip records are replayed into the dictionary without being
 	// merged; then, when bounded, decodeRecords stops parsing once left
-	// more records have been merged (left counts every merge down, and
-	// means something only while bounded).
+	// more records have been merged.
 	skip    int64
 	bounded bool
 	left    int64
@@ -236,9 +235,16 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 	m := d.codec.DeviationBits()
 	k := d.codec.BasisBits()
 	idBits := d.codec.cfg.IDBits
+	// The counts live in locals through the record loop and are stored
+	// back when the block ends or the bound stops it; after an error the
+	// decoder is reset before it decodes again.
+	skip, left := d.skip, d.left
+	if !d.bounded {
+		left = -1 // counts down, never to zero
+	}
 	for br.Remaining() > 0 {
-		if d.skip == 0 && d.bounded && d.left == 0 {
-			return out, nil
+		if left == 0 && skip == 0 {
+			break
 		}
 		hit, err := br.ReadBit()
 		if err != nil {
@@ -277,8 +283,8 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 			d.stats.Misses++
 		}
 		d.stats.Chunks++
-		if d.skip > 0 {
-			d.skip--
+		if skip > 0 {
+			skip--
 			continue
 		}
 		out, err = d.codec.inner.MergeChunk(gd.Split{
@@ -289,8 +295,9 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 		if err != nil {
 			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		d.left--
+		left--
 	}
+	d.skip, d.left = skip, left
 	return out, nil
 }
 
