@@ -58,8 +58,11 @@ func (w *Writer) WriteVector(v *Vector) {
 // compiler elides that slice's allocation, but not under -race.
 func (w *Writer) grow(n int) {
 	if need := (w.nbit + n + 7) >> 3; need > len(w.buf) {
+		if need > cap(w.buf) {
+			w.buf = slices.Grow(w.buf, need-len(w.buf))
+		}
 		old := len(w.buf)
-		w.buf = slices.Grow(w.buf, need-old)[:need]
+		w.buf = w.buf[:need]
 		clear(w.buf[old:])
 	}
 }
