@@ -408,7 +408,7 @@ func (c *Controller) idleAcrossEncoders(key string) (int64, bool) {
 		if !ok {
 			panic("controlplane: encoder pipeline lacks dictionary table")
 		}
-		idle, present := tbl.IdleTime(key, c.sim.Now())
+		idle, present := tbl.IdleTime([]byte(key), c.sim.Now())
 		if !present {
 			continue
 		}
@@ -498,7 +498,7 @@ func (c *Controller) sweep() {
 		present := 0
 		for _, enc := range c.encs {
 			if tbl, ok := enc.Table(zswitch.TableBasisToID); ok {
-				if _, holds := tbl.IdleTime(key, now); holds {
+				if _, holds := tbl.IdleTime([]byte(key), now); holds {
 					present++
 				}
 			}

@@ -168,7 +168,7 @@ func TestLRURecyclingWhenPoolExhausted(t *testing.T) {
 	// Evicted basis 0 now re-encodes as type 2 again.
 	s0, _ := tb.prog.Codec().SplitChunk(payloads[0])
 	tbl, _ := tb.sw.Pipeline().Table(zswitch.TableBasisToID)
-	if _, live := tbl.Get(zswitch.BasisKey(s0.Basis)); live {
+	if _, live := tbl.Get(s0.Basis.Bytes()); live {
 		t.Fatal("LRU victim still installed")
 	}
 }

@@ -58,7 +58,7 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 	check := func() {
 		for _, enc := range []*tofino.Pipeline{enc1, enc2} {
 			encTbl, _ := enc.Table(zswitch.TableBasisToID)
-			if _, hit := encTbl.Get(zswitch.BasisKey(s.Basis)); !hit {
+			if _, hit := encTbl.Get(s.Basis.Bytes()); !hit {
 				continue
 			}
 			probed++

@@ -64,17 +64,22 @@ func TestEncoderMappingsResolveAtEveryDecoder(t *testing.T) {
 				for _, enc := range sc.encNames {
 					encTbl, _ := sc.pipes[enc].Table(zswitch.TableBasisToID)
 					for _, key := range digested {
-						id, held := encTbl.Get(key)
+						act, held := encTbl.Get([]byte(key))
 						if !held {
 							continue
 						}
+						var id uint32
+						for _, b := range act {
+							id = id<<8 | uint32(b)
+						}
+						idKey := zswitch.IDKey(id)
 						for _, dec := range decoders {
 							if sc.switches[dec].Down() {
 								continue
 							}
 							probes++
 							decTbl, _ := sc.pipes[dec].Table(zswitch.TableIDToBasis)
-							if _, ok := decTbl.Get(zswitch.IDKey(id.(uint32))); !ok {
+							if _, ok := decTbl.Get(idKey[:]); !ok {
 								t.Fatalf("at %d ns: encoder %s maps a basis to id %d, which decoder %s cannot resolve",
 									sc.Sim.Now(), enc, id, dec)
 							}

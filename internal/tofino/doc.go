@@ -7,7 +7,10 @@
 //     rate";
 //   - exact-match tables whose entries are installed and removed only
 //     by the control plane, with per-entry idle timeouts (TTLs) that
-//     notify the control plane, as TNA provides;
+//     notify the control plane, as TNA provides. Action data is
+//     fixed-width bytes, ceil(ActionBits/8) per entry, as in P4; an
+//     action a lookup returns is a view into the table, valid only
+//     until the table's next control-plane write;
 //   - digests, the data-plane→control-plane message channel used to
 //     report unknown bases;
 //   - counters;

@@ -259,11 +259,12 @@ func (c *Ctx) checkApply(h TableHandle) *Table {
 }
 
 // ApplyBytes looks the key up in a table, at most once per pass: the
-// data-plane match on a header field. It allocates nothing (the map
-// lookup uses the compiler's string-conversion elision).
+// data-plane match on a header field. A hit returns the entry's
+// fixed-width action bytes, a view into the table valid only until its
+// next control-plane write. It allocates nothing.
 //
 //zipline:noalloc
-func (c *Ctx) ApplyBytes(h TableHandle, key []byte) (any, bool) {
+func (c *Ctx) ApplyBytes(h TableHandle, key []byte) ([]byte, bool) {
 	return c.checkApply(h).lookupBytes(key, c.now)
 }
 

@@ -75,7 +75,7 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("table not found")
 	}
-	if err := tbl.Install(string(frame[:4]), uint16(7), 150); err != nil {
+	if err := tbl.Install(frame[:4], []byte{0, 7}, 150); err != nil {
 		t.Fatal(err)
 	}
 	p.ProcessAppend(200, frame, 3, nil)
@@ -109,23 +109,23 @@ func TestTableCapacityAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Install("a", 1, 0); err != nil {
+	if err := tbl.Install([]byte("a"), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Install("b", 2, 0); err != nil {
+	if err := tbl.Install([]byte("b"), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Install("c", 3, 0); err == nil {
+	if err := tbl.Install([]byte("c"), nil, 0); err == nil {
 		t.Fatal("over-capacity install accepted")
 	}
 	// Replacing an existing key is fine at capacity.
-	if err := tbl.Install("a", 9, 0); err != nil {
+	if err := tbl.Install([]byte("a"), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.Delete("a") || tbl.Delete("a") {
+	if !tbl.Delete([]byte("a")) || tbl.Delete([]byte("a")) {
 		t.Fatal("delete semantics broken")
 	}
-	if err := tbl.Install("c", 3, 0); err != nil {
+	if err := tbl.Install([]byte("c"), nil, 0); err != nil {
 		t.Fatalf("install after delete: %v", err)
 	}
 	if tbl.Len() != 2 {
@@ -138,8 +138,8 @@ func TestTableIdleTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.Install("a", 1, 0)
-	tbl.Install("b", 2, 0)
+	tbl.Install([]byte("a"), nil, 0)
+	tbl.Install([]byte("b"), nil, 0)
 	// Data-plane hit on a at t=50 refreshes its timer.
 	if _, ok := tbl.lookupBytes([]byte("a"), 50); !ok {
 		t.Fatal("lookup miss")
@@ -149,18 +149,18 @@ func TestTableIdleTimeout(t *testing.T) {
 		t.Fatalf("expired = %v, want [b]", exp)
 	}
 	// Control-plane Get must not refresh.
-	tbl.Get("b")
+	tbl.Get([]byte("b"))
 	if got := tbl.ExpiredKeys(120); len(got) != 1 {
 		t.Fatalf("Get refreshed idle timer: %v", got)
 	}
-	if idle, ok := tbl.IdleTime("a", 120); !ok || idle != 70 {
+	if idle, ok := tbl.IdleTime([]byte("a"), 120); !ok || idle != 70 {
 		t.Fatalf("IdleTime = %d,%v", idle, ok)
 	}
 }
 
 func TestTableNoAgingWhenDisabled(t *testing.T) {
 	tbl, _ := newTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 4})
-	tbl.Install("a", 1, 0)
+	tbl.Install([]byte("a"), nil, 0)
 	if exp := tbl.ExpiredKeys(1 << 60); exp != nil {
 		t.Fatalf("expired = %v with aging disabled", exp)
 	}
@@ -281,10 +281,10 @@ func TestPipelineAccessors(t *testing.T) {
 	if tbl.Name() != "map" || tbl.Capacity() != 4 {
 		t.Fatalf("table accessors: %s/%d", tbl.Name(), tbl.Capacity())
 	}
-	if _, ok := tbl.Get("nope"); ok {
+	if _, ok := tbl.Get([]byte("nope")); ok {
 		t.Fatal("Get hit on missing key")
 	}
-	if _, ok := tbl.IdleTime("nope", 30); ok {
+	if _, ok := tbl.IdleTime([]byte("nope"), 30); ok {
 		t.Fatal("IdleTime hit on missing key")
 	}
 }

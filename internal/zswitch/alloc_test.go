@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"zipline/internal/bitvec"
 	"zipline/internal/packet"
 	"zipline/internal/tofino"
 	. "zipline/internal/zswitch"
@@ -86,6 +87,53 @@ func TestForwardSteadyStateZeroAllocs(t *testing.T) {
 	frame := testRawFrame(prog, 14)
 	if n := allocsSteadyState(t, pl, frame); n != 0 {
 		t.Errorf("forward allocates %.1f per packet, want 0", n)
+	}
+}
+
+// TestInstallZeroAllocs pins the control plane's table writes: once a
+// pipeline's tables have held n entries, installing n mappings
+// allocates nothing, whether each replaces a live entry or refills the
+// tables after a Restart cleared them.
+func TestInstallZeroAllocs(t *testing.T) {
+	prog, pl := loadRole(t, Config{}, RoleDecode)
+	bases := make([]*bitvec.Vector, 64)
+	for i := range bases {
+		_, payload, _ := packet.ParseHeader(testRawFrame(prog, int64(100+i)))
+		s, err := prog.Codec().SplitChunk(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = s.Basis
+	}
+	now := int64(0)
+	installAll := func() {
+		now++
+		for i, b := range bases {
+			if err := InstallIDToBasis(pl, uint32(i), b, now); err != nil {
+				t.Fatal(err)
+			}
+			if err := InstallBasisToID(pl, b, uint32(i), now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	installAll() // warmup: the tables grow to their high-water mark
+	if n := testing.AllocsPerRun(20, installAll); n != 0 {
+		t.Errorf("replacing %d mappings allocates %.1f, want 0", len(bases), n)
+	}
+	refill := func() {
+		if _, err := Restart(pl); err != nil {
+			t.Fatal(err)
+		}
+		installAll()
+	}
+	if n := testing.AllocsPerRun(20, refill); n != 0 {
+		t.Errorf("Restart and reinstalling %d mappings allocates %.1f, want 0", len(bases), n)
+	}
+	for _, name := range []string{TableBasisToID, TableIDToBasis} {
+		if tbl, _ := pl.Table(name); tbl.Len() != len(bases) {
+			t.Fatalf("%s holds %d entries, want %d", name, tbl.Len(), len(bases))
+		}
 	}
 }
 

@@ -8,22 +8,21 @@ import (
 	"zipline/internal/tofino"
 )
 
-// basisAction is the decoder table's action data: the raw bytes of
-// the basis to substitute for the matched identifier, ready for
-// Codec.MergeChunkBytes without an intermediate bit vector.
-type basisAction struct {
-	b []byte
-}
-
 // InstallBasisToID adds an encoder dictionary entry (basis → id) to a
 // loaded pipeline. Control-plane API; now stamps the entry's idle
-// timer.
+// timer. It allocates nothing once the table has held as many entries.
 func InstallBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector, id uint32, now int64) error {
+	p, err := loadedProgram(pl)
+	if err != nil {
+		return err
+	}
 	t, ok := pl.Table(TableBasisToID)
 	if !ok {
 		return fmt.Errorf("zswitch: pipeline has no %s table", TableBasisToID)
 	}
-	return t.Install(BasisKey(basis), id, now)
+	var act [4]byte
+	binary.BigEndian.PutUint32(act[:], id)
+	return t.Install(basis.Bytes(), act[4-(p.cfg.IDBits+7)/8:], now)
 }
 
 // DeleteBasisToID removes an encoder dictionary entry.
@@ -32,19 +31,22 @@ func DeleteBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector) bool {
 	if !ok {
 		return false
 	}
-	return t.Delete(BasisKey(basis))
+	return t.Delete(basis.Bytes())
 }
 
 // InstallIDToBasis adds a decoder dictionary entry (id → basis).
 // Control-plane API. Per the paper's protocol this must complete
 // before the corresponding InstallBasisToID so that compressed
-// packets can always be uncompressed.
+// packets can always be uncompressed. The basis bytes are copied into
+// the table; it allocates nothing once the table has held as many
+// entries.
 func InstallIDToBasis(pl *tofino.Pipeline, id uint32, basis *bitvec.Vector, now int64) error {
 	t, ok := pl.Table(TableIDToBasis)
 	if !ok {
 		return fmt.Errorf("zswitch: pipeline has no %s table", TableIDToBasis)
 	}
-	return t.Install(IDKey(id), basisAction{b: append([]byte(nil), basis.Bytes()...)}, now)
+	key := IDKey(id)
+	return t.Install(key[:], basis.Bytes(), now)
 }
 
 // DeleteIDToBasis removes a decoder dictionary entry.
@@ -53,7 +55,8 @@ func DeleteIDToBasis(pl *tofino.Pipeline, id uint32) bool {
 	if !ok {
 		return false
 	}
-	return t.Delete(IDKey(id))
+	key := IDKey(id)
+	return t.Delete(key[:])
 }
 
 // loadedProgram extracts the ZipLine program from a loaded pipeline.

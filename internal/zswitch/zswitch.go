@@ -39,10 +39,12 @@ func (r Role) String() string {
 const (
 	// TableBasisToID is the encoder dictionary (basis → identifier).
 	// Keys are the raw basis bytes (ceil(BasisBits/8), zero tail
-	// padding) — exactly the bits the hardware matches on.
+	// padding) — exactly the bits the hardware matches on. The action
+	// is the identifier, big-endian in ceil(IDBits/8) bytes.
 	TableBasisToID = "basis_to_id"
 	// TableIDToBasis is the decoder dictionary (identifier → basis).
-	// Keys are the 4-byte big-endian identifier (IDKey).
+	// Keys are the 4-byte big-endian identifier (IDKey); the action is
+	// the raw basis bytes.
 	TableIDToBasis = "id_to_basis"
 	// DigestNewBasis reports a basis missing from the encoder
 	// dictionary.
@@ -446,7 +448,10 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 	}
 
 	if act, hit := ctx.ApplyBytes(p.basisToID, basis); hit {
-		id := act.(uint32)
+		var id uint32
+		for _, b := range act {
+			id = id<<8 | uint32(b)
+		}
 		buf := p.frameScratch(packet.HeaderLen + p.fmt.Type3Len() + len(tail))
 		buf = append(buf, frame[:12]...)
 		buf = binary.BigEndian.AppendUint16(buf, packet.EtherTypeCompressed)
@@ -516,7 +521,7 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		if err != nil {
 			return out
 		}
-		binary.BigEndian.PutUint32(p.scr.idKey[:], c.ID)
+		p.scr.idKey = IDKey(c.ID)
 		act, hit := ctx.ApplyBytes(p.idToBasis, p.scr.idKey[:])
 		if !hit {
 			// The two-phase install protocol makes this impossible
@@ -524,7 +529,7 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 			ctx.Count(p.ctr.decodeMiss, 1)
 			return out
 		}
-		basis = act.(basisAction).b
+		basis = act
 		dev, extra = c.Deviation, c.Extra
 		cnt = p.ctr.type3ToRaw
 	default:
@@ -549,10 +554,10 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 // TableBasisToID: the basis bytes themselves, no framing.
 func BasisKey(basis *bitvec.Vector) string { return string(basis.Bytes()) }
 
-// IDKey renders a dictionary identifier as the table key string used
-// by TableIDToBasis.
-func IDKey(id uint32) string {
+// IDKey renders a dictionary identifier as the table key used by
+// TableIDToBasis.
+func IDKey(id uint32) [4]byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], id)
-	return string(b[:])
+	return b
 }
