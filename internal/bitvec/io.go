@@ -42,15 +42,19 @@ func (w *Writer) WriteUint(x uint64, n int) {
 		panic(fmt.Sprintf("bitvec: WriteUint width %d out of range", n))
 	}
 	w.grow(n)
-	PutUint(w.buf, w.nbit, x, n)
+	// The spare capacity lets the last bytes take PutUint's one-window store.
+	PutUint(w.buf[:cap(w.buf)], w.nbit, x, n)
 	w.nbit += n
 }
 
 // WriteVector appends every bit of v.
-func (w *Writer) WriteVector(v *Vector) {
-	w.grow(v.n)
-	CopyBits(w.buf, w.nbit, v.data, 0, v.n)
-	w.nbit += v.n
+func (w *Writer) WriteVector(v *Vector) { w.WriteBits(v.data, v.n) }
+
+// WriteBits appends the first n bits of src, MSB first.
+func (w *Writer) WriteBits(src []byte, n int) {
+	w.grow(n)
+	CopyBits(w.buf, w.nbit, src, 0, n)
+	w.nbit += n
 }
 
 // grow extends the buffer with zero bytes until it holds n more bits.
@@ -142,9 +146,20 @@ func (r *Reader) ReadVector(n int) (*Vector, error) {
 		return nil, ErrShortBuffer
 	}
 	out := New(n)
-	CopyBits(out.data, 0, r.data, r.pos, n)
+	return out, r.ReadBits(out.data, n)
+}
+
+// ReadBits consumes n bits into the first n bits of dst, MSB first,
+// leaving dst's other bits untouched.
+//
+//zipline:noalloc
+func (r *Reader) ReadBits(dst []byte, n int) error {
+	if r.pos+n > r.n {
+		return ErrShortBuffer
+	}
+	CopyBits(dst, 0, r.data, r.pos, n)
 	r.pos += n
-	return out, nil
+	return nil
 }
 
 // Remaining returns the number of unread bits.

@@ -39,14 +39,15 @@ func newSlab(slots int) slab {
 	return slab{bits: -1, ents: make([]entry, 1, 2), slots: make([]uint32, slots)}
 }
 
-// check panics on a basis of another length than the slab's first: a
-// dictionary serves one codec, and the fixed stride depends on it.
-func (s *slab) check(basis *bitvec.Vector) {
-	if basis.Len() != s.bits {
-		if s.bits >= 0 {
-			panic(fmt.Sprintf("gd: basis of %d bits in a dictionary of %d-bit bases", basis.Len(), s.bits))
+// check panics on a basis of another length than the slab's first,
+// given as its bit length and its packed bytes: a dictionary serves one
+// codec, and the fixed stride depends on it.
+func (s *slab) check(bits int, key []byte) {
+	if bits != s.bits || len(key) != s.stride {
+		if s.bits >= 0 || len(key) != (bits+7)/8 {
+			panic(fmt.Sprintf("gd: basis of %d bits in %d bytes in a dictionary of %d-bit bases", bits, len(key), s.bits))
 		}
-		s.bits, s.stride = basis.Len(), len(basis.Bytes())
+		s.bits, s.stride = bits, len(key)
 	}
 }
 
@@ -108,8 +109,8 @@ func (s *slab) unplace(n uint32) {
 // the key zswitch.BasisKey and the root package's Dict use too.
 //
 // The vectors LookupIDTouch and Insert return are the dictionary's own
-// scratch: valid until its next mutating call (LookupIDTouch, Insert,
-// Remove, Reset).
+// scratch, and TouchID's bytes a read-only view of its slab: both stay
+// valid until LookupIDTouch, Insert, LookupInsert, Remove or Reset.
 type Dictionary struct {
 	idBits int
 	slab                  // the dynamic entries
@@ -138,7 +139,7 @@ type Frozen struct {
 func NewFrozen(bases []*bitvec.Vector) *Frozen {
 	f := &Frozen{slab: newSlab(2 << bits.Len(uint(len(bases))))} // at most half full
 	for _, b := range bases {
-		f.check(b)
+		f.check(b.Len(), b.Bytes())
 		if h := maphash.Bytes(hashSeed, b.Bytes()); f.find(h, b.Bytes()) == 0 {
 			f.keys = append(f.keys, b.Bytes()...)
 			f.ents = append(f.ents, entry{hash: h})
@@ -224,7 +225,7 @@ func (d *Dictionary) Len() int { return len(d.ents) - 1 - len(d.freed) }
 //
 //zipline:noalloc
 func (d *Dictionary) Lookup(basis *bitvec.Vector) (uint32, bool) {
-	d.check(basis)
+	d.check(basis.Len(), basis.Bytes())
 	return d.lookup(maphash.Bytes(hashSeed, basis.Bytes()), basis.Bytes())
 }
 
@@ -286,23 +287,44 @@ func (d *Dictionary) LookupID(id uint32) (*bitvec.Vector, bool) {
 }
 
 // LookupIDTouch is LookupID plus the recency refresh of a Lookup hit,
-// in one table access and without hashing the basis — the decoder's
-// replay of an encoder hit, the dominant operation on the decode hot
-// path. The result is valid until the next mutating call.
+// in one table access and without hashing the basis. The result is
+// valid until the next mutating call.
 //
 //zipline:noalloc
 func (d *Dictionary) LookupIDTouch(id uint32) (*bitvec.Vector, bool) {
+	key, ok := d.TouchID(id)
+	if !ok {
+		return nil, false
+	}
+	copy(d.scratch().Bytes(), key)
+	return d.out, true
+}
+
+// TouchID is LookupIDTouch returning a view of the basis bytes in the
+// slab, valid until the next mutating call — the decoder's replay of
+// an encoder hit, the dominant operation on the decode hot path.
+//
+//zipline:noalloc
+func (d *Dictionary) TouchID(id uint32) ([]byte, bool) {
 	if id < d.base {
 		// Mirrors the encoder: frozen hits carry no recency.
-		return d.frozen.Basis(id), true
+		return d.frozen.key(id + 1), true
 	}
 	n := d.entryOf(id)
 	if n == 0 {
 		return nil, false
 	}
 	d.touch(n)
-	copy(d.out.Bytes(), d.key(n))
-	return d.out, true
+	return d.key(n), true
+}
+
+// scratch returns the vector behind LookupIDTouch's and Insert's results.
+func (d *Dictionary) scratch() *bitvec.Vector {
+	if d.out == nil {
+		//ziplint:allow noalloc the result scratch, once per dictionary
+		d.out = bitvec.New(d.bits)
+	}
+	return d.out
 }
 
 // Insert maps a new basis, allocating the least recently used
@@ -312,20 +334,32 @@ func (d *Dictionary) LookupIDTouch(id uint32) (*bitvec.Vector, bool) {
 //
 //zipline:noalloc
 func (d *Dictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitvec.Vector) {
-	d.check(basis)
+	d.check(basis.Len(), basis.Bytes())
 	h := maphash.Bytes(hashSeed, basis.Bytes())
 	if id, ok := d.lookup(h, basis.Bytes()); ok {
 		return id, nil // present already: frozen (permanent) or dynamic (refreshed)
 	}
+	d.scratch() // the evicted basis's destination
 	return d.insert(h, basis.Bytes())
 }
 
-// insert stores the absent basis bytes key, whose hash is h.
-func (d *Dictionary) insert(h uint64, key []byte) (id uint32, evicted *bitvec.Vector) {
-	if d.out == nil {
-		//ziplint:allow noalloc the result scratch, once per dictionary
-		d.out = bitvec.New(d.bits)
+// LookupInsert is Lookup and, on a miss, Insert of a bits-bit basis
+// given as its packed bytes (padding bits zero): one hash serves both,
+// and no evicted basis is copied out.
+//
+//zipline:noalloc
+func (d *Dictionary) LookupInsert(key []byte, bits int) (id uint32, hit bool) {
+	d.check(bits, key)
+	h := maphash.Bytes(hashSeed, key)
+	if id, hit = d.lookup(h, key); !hit {
+		id, _ = d.insert(h, key)
 	}
+	return id, hit
+}
+
+// insert stores the absent basis bytes key, whose hash is h. A recycled
+// entry's old basis is returned in the vector scratch, if there is one.
+func (d *Dictionary) insert(h uint64, key []byte) (id uint32, evicted *bitvec.Vector) {
 	var n uint32
 	switch {
 	case len(d.freed) > 0:
@@ -340,8 +374,10 @@ func (d *Dictionary) insert(h uint64, key []byte) (id uint32, evicted *bitvec.Ve
 		// policy is applied to evict and recycle an identifier"); its
 		// stored hash finds its index slot.
 		n = d.ents[0].prev
-		evicted = d.out
-		copy(evicted.Bytes(), d.key(n))
+		if d.out != nil {
+			evicted = d.out
+			copy(evicted.Bytes(), d.key(n))
+		}
 		d.unlink(n)
 		d.unplace(n)
 	}
@@ -363,7 +399,7 @@ func (d *Dictionary) insert(h uint64, key []byte) (id uint32, evicted *bitvec.Ve
 // Remove drops the mapping for a basis, returning its id to the free
 // pool. It reports whether the basis was present.
 func (d *Dictionary) Remove(basis *bitvec.Vector) bool {
-	d.check(basis)
+	d.check(basis.Len(), basis.Bytes())
 	n := d.find(maphash.Bytes(hashSeed, basis.Bytes()), basis.Bytes())
 	if n != 0 {
 		d.unlink(n)

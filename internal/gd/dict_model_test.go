@@ -191,6 +191,9 @@ type modelPair struct {
 	m     *modelDictionary
 	keys  []*bitvec.Vector // the universe, twice the identifier space
 	steps int
+	// bytes routes inserts through LookupInsert and touches through
+	// TouchID, the byte entry points the stream codec uses.
+	bytes bool
 }
 
 // newModelPair builds both dictionaries at idBits; with frozen, the
@@ -234,6 +237,16 @@ func (p *modelPair) step(op, arg byte) {
 		if gi != wi || gok != wok {
 			t.Fatalf("step %d: %s = %d,%v, model %d,%v", p.steps, what, gi, gok, wi, wok)
 		}
+	case op < 150 && p.bytes:
+		what = fmt.Sprintf("LookupInsert(%s)", key)
+		gi, ghit := d.LookupInsert(key.Bytes(), key.Len())
+		wi, whit := m.Lookup(key)
+		if !whit {
+			wi, _ = m.Insert(key)
+		}
+		if gi != wi || ghit != whit {
+			t.Fatalf("step %d: %s = %d,%v, model %d,%v", p.steps, what, gi, ghit, wi, whit)
+		}
 	case op < 150:
 		what = fmt.Sprintf("Insert(%s)", key)
 		gi, gev := d.Insert(key)
@@ -247,6 +260,13 @@ func (p *modelPair) step(op, arg byte) {
 		wb, wok := m.LookupID(id)
 		if gok != wok || !sameBasis(gb, wb) {
 			t.Fatalf("step %d: %s = %v,%v, model %v,%v", p.steps, what, gb, gok, wb, wok)
+		}
+	case op < 210 && p.bytes:
+		what = fmt.Sprintf("TouchID(%d)", id)
+		gb, gok := d.TouchID(id)
+		wb, wok := m.LookupIDTouch(id)
+		if gok != wok || gok && !slices.Equal(gb, wb.Bytes()) {
+			t.Fatalf("step %d: %s = %x,%v, model %v,%v", p.steps, what, gb, gok, wb, wok)
 		}
 	case op < 210:
 		what = fmt.Sprintf("LookupIDTouch(%d)", id)
@@ -308,17 +328,21 @@ func (p *modelPair) compare(after string) {
 }
 
 // TestDictionaryModel replays seeded random operation sequences on the
-// slab dictionary and the list-based oracle. The universe is twice the
+// slab dictionary and the list-based oracle, through the vector entry
+// points and through the byte ones. The universe is twice the
 // identifier space, so hits, evictions, re-inserts and freed-id reuse
 // all occur at every width.
 func TestDictionaryModel(t *testing.T) {
 	for idBits := 1; idBits <= 6; idBits++ {
 		for _, frozen := range []bool{false, true} {
 			for seed := int64(0); seed < 4; seed++ {
-				rng := rand.New(rand.NewSource(seed*100 + int64(idBits)))
-				p := newModelPair(t, idBits, frozen)
-				for i := 0; i < 3000; i++ {
-					p.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
+				for _, viaBytes := range []bool{false, true} {
+					rng := rand.New(rand.NewSource(seed*100 + int64(idBits)))
+					p := newModelPair(t, idBits, frozen)
+					p.bytes = viaBytes
+					for i := 0; i < 3000; i++ {
+						p.step(byte(rng.Intn(256)), byte(rng.Intn(256)))
+					}
 				}
 			}
 		}
@@ -330,8 +354,10 @@ func TestDictionaryModel(t *testing.T) {
 func FuzzDictionaryModel(f *testing.F) {
 	f.Add(uint8(1), false, []byte{100, 0, 100, 1, 100, 2, 0, 0, 220, 1, 100, 3, 255, 0})
 	f.Add(uint8(3), true, []byte{100, 9, 100, 10, 190, 4, 100, 11, 100, 12, 100, 13, 230, 10, 100, 14})
+	f.Add(uint8(129), true, []byte{100, 9, 100, 10, 200, 4, 100, 11, 100, 12, 100, 13, 200, 10, 100, 14})
 	f.Fuzz(func(t *testing.T, idBits uint8, frozen bool, ops []byte) {
 		p := newModelPair(t, 1+int(idBits)%6, frozen)
+		p.bytes = idBits >= 128 // the byte entry points
 		for i := 0; i+1 < len(ops); i += 2 {
 			p.step(ops[i], ops[i+1])
 		}
@@ -354,7 +380,8 @@ func TestDictionaryProbeRunDeletion(t *testing.T) {
 	}
 	for victim := range homes {
 		d := NewDictionary(idBits)
-		d.check(keys[0])
+		d.check(keys[0].Len(), keys[0].Bytes())
+		d.scratch() // where insert returns the evicted basis
 		for i, h := range homes {
 			d.insert(h<<32|h, keys[i].Bytes()) // equal low bits at every index size
 		}

@@ -20,6 +20,6 @@
 // flat slices indexed by identifier and found through one open-addressed
 // index (linear probing, backward-shift deletion). A call hashes its
 // basis once; a miss, an eviction and a Reset allocate nothing. The
-// vectors LookupIDTouch and Insert return are the dictionary's scratch,
-// valid until its next mutating call.
+// byte views TouchID returns and the vectors LookupIDTouch and Insert
+// return are its storage and scratch, valid until its next mutating call.
 package gd

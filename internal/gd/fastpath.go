@@ -22,17 +22,16 @@ import (
 // in one table-driven pass — exactly what ZipLine's P4 program does
 // with the Tofino CRC extern over the full payload container.
 //
-// Each direction has one body, splitHamming and mergeHammingBytes.
-// The exported shapes differ only in who owns the basis storage:
-// SplitChunkInto hands splitHamming the bytes under the caller's
-// Split.Basis (the stream encoders), SplitChunkBytes a raw scratch
-// slice (the switch and the public Codec), and SplitChunk / MergeChunk
-// in codec.go are wrappers for one-shot callers.
+// Each direction has one body, splitHamming and mergeHammingBytes
+// (four 64-bit words for m = 8). The exported shapes differ only in who
+// owns the basis storage: SplitChunkBytes takes a raw scratch slice
+// (the stream, the switch and the public Codec), SplitChunkInto the
+// bytes under the caller's Split.Basis (trace and workload analysis),
+// and SplitChunk / MergeChunk in codec.go wrap it for one-shot callers.
 
 // SplitChunkInto is SplitChunk writing into a caller-owned Split,
 // reusing s.Basis's storage when it has capacity. Repeated calls with
-// the same Split allocate nothing on the Hamming fast path, which is
-// what lets each stream worker encode with a single scratch struct.
+// the same Split allocate nothing on the Hamming fast path.
 // The previous contents of s are overwritten; bases handed to a
 // Dictionary are copied on insert, so reuse is safe.
 //
@@ -72,14 +71,13 @@ func (c *Codec) SplitChunkBytes(chunk, basis []byte) (basisOut []byte, deviation
 	}
 	nb := (c.code.K() + 7) / 8
 	basis = slices.Grow(basis[:0], nb)[:nb]
-	clear(basis)
 	deviation, extra = c.splitHamming(chunk, basis)
 	return basis, deviation, extra, nil
 }
 
 // splitHamming encodes one chunk of ChunkBytes bytes into basis, which
-// must be ceil(k/8) zeroed bytes, and returns the syndrome and the
-// carried MSB.
+// must be ceil(k/8) bytes (their contents are overwritten, tail padding
+// zeroed), and returns the syndrome and the carried MSB.
 func (c *Codec) splitHamming(chunk, basis []byte) (syn uint32, extra uint8) {
 	code := c.code
 	extra = chunk[0] >> 7
@@ -88,7 +86,22 @@ func (c *Codec) splitHamming(chunk, basis []byte) (syn uint32, extra uint8) {
 	// offset 1+m), then flip the syndrome-indicated bit if it landed
 	// inside the basis range; flips in the parity range vanish with
 	// the truncation.
-	bitvec.CopyBits(basis, 0, chunk, 1+code.M(), code.K())
+	if code.M() == 8 && c.chunkBits == 256 {
+		// mergeHammingBytes's four words in reverse: the zeros shifted
+		// in behind the basis become basis[30]'s padding LSB.
+		u0 := binary.BigEndian.Uint64(chunk[0:8])
+		u1 := binary.BigEndian.Uint64(chunk[8:16])
+		u2 := binary.BigEndian.Uint64(chunk[16:24])
+		u3 := binary.BigEndian.Uint64(chunk[24:32])
+		w2 := u2<<9 | u3>>55
+		binary.BigEndian.PutUint64(basis[0:8], u0<<9|u1>>55)
+		binary.BigEndian.PutUint64(basis[8:16], u1<<9|u2>>55)
+		binary.BigEndian.PutUint64(basis[16:24], w2)
+		binary.BigEndian.PutUint64(basis[23:31], w2<<56|u3<<9>>8)
+	} else {
+		basis[len(basis)-1] = 0 // CopyBits leaves the padding bits alone
+		bitvec.CopyBits(basis, 0, chunk, 1+code.M(), code.K())
+	}
 	if pos := code.ErrorPosition(syn); pos >= 0 {
 		if rel := pos - code.M(); rel >= 0 {
 			basis[rel>>3] ^= 1 << (7 - uint(rel&7))
@@ -104,18 +117,18 @@ func (c *Codec) splitHamming(chunk, basis []byte) (syn uint32, extra uint8) {
 //
 //zipline:noalloc
 func (c *Codec) MergeChunkBytes(basis []byte, deviation uint32, extra uint8, dst []byte) ([]byte, error) {
+	if c.code != nil && len(basis) == (c.code.K()+7)/8 {
+		return c.mergeHammingBytes(basis, deviation, extra, dst)
+	}
 	if len(basis) != (c.t.BasisBits()+7)/8 {
 		//ziplint:allow noalloc cold validation branch; never taken on well-formed input
 		return dst, fmt.Errorf("gd: basis is %d bytes, want %d", len(basis), (c.t.BasisBits()+7)/8)
 	}
-	if c.code == nil {
-		return c.mergeGeneric(Split{
-			Basis:     bitvec.FromBytes(basis, c.t.BasisBits()),
-			Deviation: deviation,
-			Extra:     extra,
-		}, dst)
-	}
-	return c.mergeHammingBytes(basis, deviation, extra, dst)
+	return c.mergeGeneric(Split{
+		Basis:     bitvec.FromBytes(basis, c.t.BasisBits()),
+		Deviation: deviation,
+		Extra:     extra,
+	}, dst)
 }
 
 // mergeHammingBytes rebuilds one chunk in dst's grown tail from a

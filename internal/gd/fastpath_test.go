@@ -32,6 +32,11 @@ func genericMerge(c *Codec, s Split) []byte {
 	return w.Bytes()
 }
 
+// TestFastPathMatchesGeneric pins the byte path to the Transform
+// interface basis byte for basis byte — padding included, because the
+// dictionary keys on the raw bytes: a stray padding bit would turn a
+// hit into a miss. Each split shape runs on reused scratch left dirty
+// by the previous trial.
 func TestFastPathMatchesGeneric(t *testing.T) {
 	for _, m := range []int{3, 4, 5, 8, 11} {
 		tr, err := NewHammingM(m)
@@ -39,19 +44,47 @@ func TestFastPathMatchesGeneric(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCodec(tr)
+		nb := (c.BasisBits() + 7) / 8
+		padMask := byte(1)<<uint(8*nb-c.BasisBits()) - 1
 		rng := rand.New(rand.NewSource(int64(m) * 31))
+		var into Split
+		raw := bytes.Repeat([]byte{0xFF}, nb)
 		for trial := 0; trial < 200; trial++ {
 			chunk := make([]byte, c.ChunkBytes())
 			rng.Read(chunk)
+			slow := genericSplit(c, chunk)
+			want := slow.Basis.Bytes()
+			if want[nb-1]&padMask != 0 {
+				t.Fatalf("m=%d trial %d: generic basis has padding bits set", m, trial)
+			}
 
 			fast, err := c.SplitChunk(chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow := genericSplit(c, chunk)
-			if !fast.Basis.Equal(slow.Basis) || fast.Deviation != slow.Deviation || fast.Extra != slow.Extra {
-				t.Fatalf("m=%d trial %d: fast split diverged\nfast: %s dev=%x extra=%d\nslow: %s dev=%x extra=%d",
-					m, trial, fast.Basis, fast.Deviation, fast.Extra, slow.Basis, slow.Deviation, slow.Extra)
+			if err := c.SplitChunkInto(chunk, &into); err != nil {
+				t.Fatal(err)
+			}
+			var dev uint32
+			var extra uint8
+			raw, dev, extra, err = c.SplitChunkBytes(chunk, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []struct {
+				name  string
+				basis []byte
+				dev   uint32
+				extra uint8
+			}{
+				{"SplitChunk", fast.Basis.Bytes(), fast.Deviation, fast.Extra},
+				{"SplitChunkInto", into.Basis.Bytes(), into.Deviation, into.Extra},
+				{"SplitChunkBytes", raw, dev, extra},
+			} {
+				if !bytes.Equal(got.basis, want) || got.dev != slow.Deviation || got.extra != slow.Extra {
+					t.Fatalf("m=%d trial %d: %s diverged\nfast: %x dev=%x extra=%d\nslow: %x dev=%x extra=%d",
+						m, trial, got.name, got.basis, got.dev, got.extra, want, slow.Deviation, slow.Extra)
+				}
 			}
 
 			out, err := c.MergeChunk(fast, nil)
@@ -61,9 +94,15 @@ func TestFastPathMatchesGeneric(t *testing.T) {
 			if !bytes.Equal(out, chunk) {
 				t.Fatalf("m=%d trial %d: fast merge did not round trip", m, trial)
 			}
+			if out, err = c.MergeChunkBytes(raw, dev, extra, out[:0]); err != nil || !bytes.Equal(out, chunk) {
+				t.Fatalf("m=%d trial %d: byte merge did not round trip (%v)", m, trial, err)
+			}
 			if slowOut := genericMerge(c, slow); !bytes.Equal(slowOut, chunk) {
 				t.Fatalf("m=%d trial %d: generic merge did not round trip", m, trial)
 			}
+			// Dirty the scratch for the next trial, padding bits too.
+			raw[nb-1] |= padMask
+			into.Basis.Bytes()[nb-1] |= padMask
 		}
 	}
 }

@@ -133,27 +133,27 @@ const tailBlockFlag = 1 << 31
 // fields so a worker can repoint them at the current job while the
 // dictionary persists across jobs.
 type blockEncoder struct {
-	codec *Codec
 	dict  *gd.Dictionary
 	block *bitvec.Writer
 	stats *StreamStats
-	split gd.Split // scratch reused across chunks
+	basis []byte // split scratch reused across chunks
 
 	// Hoisted from the codec at construction so the per-chunk record
-	// loop reads two ints and a pointer instead of chasing the config
+	// loop reads three ints and a pointer instead of chasing the config
 	// through method calls every chunk.
 	inner  *gd.Codec
 	m      int // deviation width, bits
+	k      int // basis width, bits
 	idBits int
 }
 
 func newBlockEncoder(codec *Codec, d *Dict) *blockEncoder {
 	dict := newStreamDictionary(codec, d)
 	return &blockEncoder{
-		codec:  codec,
 		dict:   dict,
 		inner:  codec.inner,
 		m:      codec.DeviationBits(),
+		k:      codec.BasisBits(),
 		idBits: codec.cfg.IDBits,
 	}
 }
@@ -171,22 +171,21 @@ func newStreamDictionary(codec *Codec, d *Dict) *gd.Dictionary {
 //
 //zipline:noalloc
 func (e *blockEncoder) encodeChunk(chunk []byte) error {
-	if err := e.inner.SplitChunkInto(chunk, &e.split); err != nil {
+	basis, dev, extra, err := e.inner.SplitChunkBytes(chunk, e.basis)
+	if err != nil {
 		return err
 	}
+	e.basis = basis
 	e.stats.Chunks++
-	if id, ok := e.dict.Lookup(e.split.Basis); ok {
-		e.block.WriteBit(true)
-		e.block.WriteUint(uint64(e.split.Deviation), e.m)
-		e.block.WriteUint(uint64(e.split.Extra), 1)
-		e.block.WriteUint(uint64(id), e.idBits)
+	// The record header tag | deviation | extra, tag clear; a hit record
+	// is it and the id in one store (≤ 2 + 31 + 24 bits).
+	head := uint64(dev)<<1 | uint64(extra)
+	if id, hit := e.dict.LookupInsert(basis, e.k); hit {
+		e.block.WriteUint((1<<(e.m+1)|head)<<e.idBits|uint64(id), 2+e.m+e.idBits)
 		e.stats.Hits++
 	} else {
-		e.dict.Insert(e.split.Basis)
-		e.block.WriteBit(false)
-		e.block.WriteUint(uint64(e.split.Deviation), e.m)
-		e.block.WriteUint(uint64(e.split.Extra), 1)
-		e.block.WriteVector(e.split.Basis)
+		e.block.WriteUint(head, 2+e.m)
+		e.block.WriteBits(basis, e.k)
 		e.stats.Misses++
 	}
 	return nil
@@ -200,6 +199,7 @@ type blockDecoder struct {
 	dict  *gd.Dictionary
 	stats *StreamStats
 	br    bitvec.Reader // reused per block; live only inside decodeRecords
+	basis []byte        // a missed basis, read off the wire
 
 	// Random-access bounds, set only by the serial Reader's seekTo and
 	// ReadAt; zero (no skip, unbounded) on every other path. The next
@@ -212,7 +212,8 @@ type blockDecoder struct {
 }
 
 func newBlockDecoder(codec *Codec, stats *StreamStats, d *Dict) *blockDecoder {
-	return &blockDecoder{codec: codec, dict: newStreamDictionary(codec, d), stats: stats}
+	dict := newStreamDictionary(codec, d)
+	return &blockDecoder{codec: codec, dict: dict, stats: stats, basis: make([]byte, (codec.BasisBits()+7)/8)}
 }
 
 // reset starts d on a new dictionary timeline: the dictionary back to
@@ -226,6 +227,8 @@ func (d *blockDecoder) reset() {
 // bytes to out. Skipped records (d.skip) update the dictionary, Stats
 // and nothing else; a bound (d.bounded) that runs out stops the parse
 // mid-block.
+//
+//zipline:noalloc
 func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byte, error) {
 	br := &d.br
 	br.ResetBits(body, bitLen)
@@ -246,40 +249,36 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 		if left == 0 && skip == 0 {
 			break
 		}
-		hit, err := br.ReadBit()
+		// tag | deviation | extra, as encodeChunk stores it.
+		head, err := br.ReadUint(2 + m)
 		if err != nil {
+			//ziplint:allow noalloc cold error exit; the stream is corrupt
 			return out, fmt.Errorf("%w: truncated record", ErrCorrupt)
 		}
-		dev, err := br.ReadUint(m)
-		if err != nil {
-			return out, fmt.Errorf("%w: truncated deviation", ErrCorrupt)
-		}
-		extra, err := br.ReadUint(1)
-		if err != nil {
-			return out, fmt.Errorf("%w: truncated extra bit", ErrCorrupt)
-		}
-		var basis *bitvec.Vector
-		if hit {
+		var basis []byte
+		if head>>(m+1) != 0 {
 			id, err := br.ReadUint(idBits)
 			if err != nil {
+				//ziplint:allow noalloc cold error exit; the stream is corrupt
 				return out, fmt.Errorf("%w: truncated identifier", ErrCorrupt)
 			}
 			// Mirrors the encoder's lookup including its recency refresh.
-			// b is the dictionary's scratch, valid until its next mutating
-			// call: it is merged before the next record is read.
-			b, ok := d.dict.LookupIDTouch(uint32(id))
+			// b views the dictionary's storage, valid until its next
+			// mutating call: it is merged before the next record is read.
+			b, ok := d.dict.TouchID(uint32(id))
 			if !ok {
+				//ziplint:allow noalloc cold error exit; the stream is corrupt
 				return out, fmt.Errorf("%w: unknown identifier %d", ErrCorrupt, id)
 			}
 			basis = b
 			d.stats.Hits++
 		} else {
-			b, err := br.ReadVector(k)
-			if err != nil {
+			if err := br.ReadBits(d.basis, k); err != nil {
+				//ziplint:allow noalloc cold error exit; the stream is corrupt
 				return out, fmt.Errorf("%w: truncated basis", ErrCorrupt)
 			}
-			d.dict.Insert(b)
-			basis = b
+			d.dict.LookupInsert(d.basis, k)
+			basis = d.basis
 			d.stats.Misses++
 		}
 		d.stats.Chunks++
@@ -287,12 +286,9 @@ func (d *blockDecoder) decodeRecords(body []byte, bitLen int, out []byte) ([]byt
 			skip--
 			continue
 		}
-		out, err = d.codec.inner.MergeChunk(gd.Split{
-			Basis:     basis,
-			Deviation: uint32(dev),
-			Extra:     uint8(extra),
-		}, out)
+		out, err = d.codec.inner.MergeChunkBytes(basis, uint32(head>>1)&(1<<m-1), uint8(head&1), out)
 		if err != nil {
+			//ziplint:allow noalloc cold error exit; the stream is corrupt
 			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		left--
@@ -1243,8 +1239,8 @@ func (zr *Reader) readBlock() error {
 		}
 	}
 	// Block bodies are transient — every downstream consumer copies
-	// what it keeps (parseTailBlock's slice is appended to out,
-	// ReadVector builds fresh vectors) — so one recycled scratch buffer
+	// what it keeps (parseTailBlock's slice is appended to out, a missed
+	// basis is read into decoder scratch) — so one recycled buffer
 	// serves every block. Oversized lengths (only a corrupt or hostile
 	// header produces them; real groups are bounded by the segment
 	// size) use a throwaway allocation instead, so a pooled Reader
