@@ -20,13 +20,12 @@ type modelDictionary struct {
 	byKey    map[string]*list.Element // basis key -> entry
 	byID     []*list.Element          // id -> entry (nil if free); grows on demand
 	order    *list.List               // front = most recently used
-	freed    []uint32                 // ids returned by Remove, LIFO
 	next     uint32                   // first never-allocated id
 
 	// frozen is an optional immutable prefix shared read-only with any
 	// number of other dictionaries (the pre-trained basis dictionary of
 	// a compressor fleet). Frozen entries own identifiers [0, base) and
-	// are never evicted, refreshed or removed; dynamic entries start at
+	// are never evicted or refreshed; dynamic entries start at
 	// base and behave exactly as before.
 	frozen *modelFrozen
 	base   uint32 // first dynamic id == frozen.Len()
@@ -90,7 +89,6 @@ func (d *modelDictionary) Reset() {
 	}
 	d.byID = d.byID[:0]
 	d.order.Init()
-	d.freed = d.freed[:0]
 	d.next = d.base
 }
 
@@ -140,9 +138,6 @@ func (d *modelDictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitv
 	}
 	key := string(basis.Bytes())
 	switch {
-	case len(d.freed) > 0:
-		id = d.freed[len(d.freed)-1]
-		d.freed = d.freed[:len(d.freed)-1]
 	case d.next < uint32(d.capacity):
 		id = d.next
 		d.next++
@@ -164,19 +159,6 @@ func (d *modelDictionary) Insert(basis *bitvec.Vector) (id uint32, evicted *bitv
 	}
 	d.byID[id] = el
 	return id, evicted
-}
-
-func (d *modelDictionary) Remove(basis *bitvec.Vector) bool {
-	el, ok := d.byKey[string(basis.Bytes())]
-	if !ok {
-		return false
-	}
-	ent := el.Value.(*dictEntry)
-	delete(d.byKey, ent.key)
-	d.byID[ent.id] = nil
-	d.order.Remove(el)
-	d.freed = append(d.freed, ent.id)
-	return true
 }
 
 // modelBits is the basis length of the model runs: not a whole number
@@ -261,24 +243,19 @@ func (p *modelPair) step(op, arg byte) {
 		if gok != wok || !sameBasis(gb, wb) {
 			t.Fatalf("step %d: %s = %v,%v, model %v,%v", p.steps, what, gb, gok, wb, wok)
 		}
-	case op < 210 && p.bytes:
+	case op < 250 && p.bytes:
 		what = fmt.Sprintf("TouchID(%d)", id)
 		gb, gok := d.TouchID(id)
 		wb, wok := m.LookupIDTouch(id)
 		if gok != wok || gok && !slices.Equal(gb, wb.Bytes()) {
 			t.Fatalf("step %d: %s = %x,%v, model %v,%v", p.steps, what, gb, gok, wb, wok)
 		}
-	case op < 210:
+	case op < 250:
 		what = fmt.Sprintf("LookupIDTouch(%d)", id)
 		gb, gok := d.LookupIDTouch(id)
 		wb, wok := m.LookupIDTouch(id)
 		if gok != wok || !sameBasis(gb, wb) {
 			t.Fatalf("step %d: %s = %v,%v, model %v,%v", p.steps, what, gb, gok, wb, wok)
-		}
-	case op < 250:
-		what = fmt.Sprintf("Remove(%s)", key)
-		if g, w := d.Remove(key), m.Remove(key); g != w {
-			t.Fatalf("step %d: %s = %v, model %v", p.steps, what, g, w)
 		}
 	default:
 		what = "Reset"
@@ -289,8 +266,7 @@ func (p *modelPair) step(op, arg byte) {
 }
 
 // compare dumps both dictionaries — every identifier's basis, the LRU
-// order — and checks the slab's own invariants: every ring entry is
-// found through the index, and the index holds nothing else.
+// order. The index's own invariants are internal/slab's to check.
 func (p *modelPair) compare(after string) {
 	t, d, m := p.t, p.d, p.m
 	if d.Len() != m.Len() {
@@ -304,11 +280,8 @@ func (p *modelPair) compare(after string) {
 		}
 	}
 	var got, want []uint32
-	for n := d.ents[0].next; n != 0; n = d.ents[n].next {
+	for n := d.links[0].next; n != 0; n = d.links[n].next {
 		got = append(got, d.base+n-1)
-		if f := d.find(d.ents[n].hash, d.key(n)); f != n {
-			t.Fatalf("step %d, after %s: entry %d not found through the index (got %d)", p.steps, after, n, f)
-		}
 	}
 	for el := m.order.Front(); el != nil; el = el.Next() {
 		want = append(want, el.Value.(*dictEntry).id)
@@ -316,22 +289,13 @@ func (p *modelPair) compare(after string) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("step %d, after %s: LRU order %v, model %v", p.steps, after, got, want)
 	}
-	used := 0
-	for _, n := range d.slots {
-		if n != 0 {
-			used++
-		}
-	}
-	if used != d.Len() || 2*used > len(d.slots) {
-		t.Fatalf("step %d, after %s: %d of %d index slots used by %d entries", p.steps, after, used, len(d.slots), d.Len())
-	}
 }
 
 // TestDictionaryModel replays seeded random operation sequences on the
 // slab dictionary and the list-based oracle, through the vector entry
 // points and through the byte ones. The universe is twice the
-// identifier space, so hits, evictions, re-inserts and freed-id reuse
-// all occur at every width.
+// identifier space, so hits, evictions and re-inserts all occur at
+// every width.
 func TestDictionaryModel(t *testing.T) {
 	for idBits := 1; idBits <= 6; idBits++ {
 		for _, frozen := range []bool{false, true} {
@@ -366,9 +330,13 @@ func FuzzDictionaryModel(f *testing.F) {
 
 // TestDictionaryProbeRunDeletion forces every basis of a full
 // dictionary into one probe run that wraps around the end of the index
-// (the hash is a parameter of insert and lookup), evicts each position
-// of the run in turn, and checks that the backward shift leaves every
-// survivor reachable.
+// (the hash is a parameter of lookupInsert), evicts each position of
+// the run in turn, and checks that every survivor and the newcomer stay
+// reachable. The newcomer's home is outside the run (8), so the hole is
+// not simply refilled, or inside it (14): its miss slot, past the run's
+// end, goes stale when the victim's removal shifts the run back, so the
+// recycled entry must be probed for afresh. Both go through Insert's
+// path (the evicted basis copied out) and LookupInsert's (none).
 func TestDictionaryProbeRunDeletion(t *testing.T) {
 	const idBits = 3 // 8 entries in a 16-slot index
 	// Home slots: a run starting two slots before the end, with later
@@ -378,32 +346,39 @@ func TestDictionaryProbeRunDeletion(t *testing.T) {
 	for i := range keys {
 		keys[i] = bitvec.FromUint(uint64(i+1), modelBits)
 	}
-	for victim := range homes {
-		d := NewDictionary(idBits)
-		d.check(keys[0].Len(), keys[0].Bytes())
-		d.scratch() // where insert returns the evicted basis
-		for i, h := range homes {
-			d.insert(h<<32|h, keys[i].Bytes()) // equal low bits at every index size
-		}
-		if len(d.slots) != 16 || d.slots[15] == 0 || d.slots[0] == 0 {
-			t.Fatalf("run does not wrap: slots %v", d.slots)
-		}
-		// Make the victim the least recently used entry, then evict it
-		// with a basis whose home is outside the run, so the hole is not
-		// simply refilled.
-		for i, h := range homes {
-			if i != victim {
-				d.lookup(h<<32|h, keys[i].Bytes())
-			}
-		}
-		_, evicted := d.insert(8<<32|8, keys[len(homes)].Bytes())
-		if evicted == nil || !evicted.Equal(keys[victim]) {
-			t.Fatalf("victim %d: evicted %v", victim, evicted)
-		}
-		for i, h := range append(homes, 8) {
-			_, ok := d.lookup(h<<32|h, keys[i].Bytes())
-			if ok == (i == victim) {
-				t.Fatalf("victim %d: key %d found = %v; slots %v", victim, i, ok, d.slots)
+	hash := func(home uint64) uint64 { return home<<32 | home } // equal low bits at every index size
+	for _, newHome := range []uint64{8, 14} {
+		for _, copyOut := range []bool{true, false} {
+			for victim := range homes {
+				d := NewDictionary(idBits)
+				checkBasis(&d.bits, keys[0].Len(), keys[0].Bytes())
+				if copyOut {
+					d.scratch() // where Insert returns the evicted basis
+				}
+				for i, h := range homes {
+					d.lookupInsert(hash(h), keys[i].Bytes())
+				}
+				// A 16-slot index whose run fills slots 14, 15 and 0–5.
+				if slot, ok := d.ix.Find(hash(14), keys[len(homes)].Bytes()); ok || slot != 6 {
+					t.Fatalf("run does not wrap: a miss from home 14 ends at slot %d", slot)
+				}
+				// Make the victim the least recently used entry, then
+				// evict it.
+				for i, h := range homes {
+					if i != victim {
+						d.lookup(hash(h), keys[i].Bytes())
+					}
+				}
+				id, hit, evicted := d.lookupInsert(hash(newHome), keys[len(homes)].Bytes())
+				if hit || id != uint32(victim) || copyOut != (evicted != nil) || copyOut && !evicted.Equal(keys[victim]) {
+					t.Fatalf("home %d, victim %d: id %d, hit %v, evicted %v", newHome, victim, id, hit, evicted)
+				}
+				for i, h := range append(homes, newHome) {
+					_, _, ok := d.lookup(hash(h), keys[i].Bytes())
+					if ok == (i == victim) {
+						t.Fatalf("home %d, victim %d: key %d found = %v", newHome, victim, i, ok)
+					}
+				}
 			}
 		}
 	}

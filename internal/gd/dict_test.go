@@ -93,30 +93,6 @@ func TestDictionaryInsertExistingRefreshes(t *testing.T) {
 	}
 }
 
-func TestDictionaryRemove(t *testing.T) {
-	d := NewDictionary(1)
-	a, b := bv(t, "0001"), bv(t, "0010")
-	idA, _ := d.Insert(a)
-	d.Insert(b)
-	if !d.Remove(a) {
-		t.Fatal("remove failed")
-	}
-	if d.Remove(a) {
-		t.Fatal("double remove succeeded")
-	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", d.Len())
-	}
-	// The freed id must be reusable without evicting b.
-	idC, evicted := d.Insert(bv(t, "0011"))
-	if evicted != nil {
-		t.Fatal("eviction despite free slot")
-	}
-	if idC != idA {
-		t.Fatalf("freed id %d not reused (got %d)", idA, idC)
-	}
-}
-
 func TestDictionaryLookupIDMisses(t *testing.T) {
 	d := NewDictionary(2)
 	if _, ok := d.LookupID(0); ok {
@@ -149,7 +125,7 @@ func TestDictionaryChurnProperty(t *testing.T) {
 		case 0, 1:
 			d.Insert(v)
 		case 2:
-			d.Remove(v)
+			d.Lookup(v)
 		}
 		if d.Len() > d.Capacity() {
 			t.Fatalf("size %d exceeds capacity", d.Len())
@@ -294,7 +270,6 @@ func TestDictionaryRejectsOtherBasisLength(t *testing.T) {
 	d.Insert(bv(t, "0001"))
 	mustPanic("Insert", func() { d.Insert(bv(t, "00001")) })
 	mustPanic("Lookup", func() { d.Lookup(bv(t, "001")) })
-	mustPanic("Remove", func() { d.Remove(bv(t, "00000001")) })
 	d.Reset() // the stride outlives the entries
 	mustPanic("Insert after Reset", func() { d.Insert(bv(t, "00001")) })
 	mustPanic("NewFrozen", func() { NewFrozen([]*bitvec.Vector{bv(t, "0001"), bv(t, "00010")}) })

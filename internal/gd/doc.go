@@ -15,11 +15,12 @@
 // interface. Classic deduplication, the baseline, needs no transform:
 // baseline.DedupSize with a nil codec keys whole records.
 //
-// Dictionary and Frozen (dict.go) keep their bases in a slab: the bytes
-// packed at a fixed stride, a hash and two LRU links per entry, all in
-// flat slices indexed by identifier and found through one open-addressed
-// index (linear probing, backward-shift deletion). A call hashes its
-// basis once; a miss, an eviction and a Reset allocate nothing. The
-// byte views TouchID returns and the vectors LookupIDTouch and Insert
-// return are its storage and scratch, valid until its next mutating call.
+// Dictionary and Frozen (dict.go) keep their bases in a slab.Index: the
+// bytes packed at a fixed stride and a hash per entry, found through one
+// open-addressed index. A Dictionary keeps two LRU links per entry beside
+// it. A call hashes its basis once, and a miss that finds a free
+// identifier probes once; a miss, an eviction and a Reset allocate
+// nothing. The byte views TouchID returns and the vectors LookupIDTouch
+// and Insert return are its storage and scratch, valid until its next
+// mutating call.
 package gd

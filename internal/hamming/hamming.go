@@ -2,6 +2,7 @@ package hamming
 
 import (
 	"fmt"
+	"sync"
 
 	"zipline/internal/bitvec"
 	"zipline/internal/crc"
@@ -162,13 +163,32 @@ func (c *Code) buildParityTab() {
 	}
 }
 
-// ByM returns the code for the default Table 1 polynomial of size m.
+// byM builds each default Table 1 code once, on first use: a Code is
+// only read after New, so every codec of one m shares it instead of
+// rebuilding the CRC engine and parity tables. Every default row builds
+// (TestTable1AllConstructible), so no error is ever memoized; ByM
+// answers an m outside MinM..MaxM afresh.
+var byM = func() (f [MaxM + 1]func() (*Code, error)) {
+	for m := MinM; m <= MaxM; m++ {
+		f[m] = sync.OnceValues(func() (*Code, error) {
+			s, err := SpecByM(m)
+			if err != nil {
+				return nil, err
+			}
+			return New(m, s.Param)
+		})
+	}
+	return f
+}()
+
+// ByM returns the code for the default Table 1 polynomial of size m:
+// one shared Code per m, built by the first call.
 func ByM(m int) (*Code, error) {
-	s, err := SpecByM(m)
-	if err != nil {
+	if m < MinM || m > MaxM {
+		_, err := SpecByM(m)
 		return nil, err
 	}
-	return New(m, s.Param)
+	return byM[m]()
 }
 
 // MustByM is ByM, panicking on error.

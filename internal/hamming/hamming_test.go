@@ -273,6 +273,19 @@ func TestByMUnknown(t *testing.T) {
 	}
 }
 
+func TestByMShared(t *testing.T) {
+	a, err := ByM(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := MustByM(8); b != a {
+		t.Error("two ByM(8) calls built two codes")
+	}
+	if MustByM(9) == a {
+		t.Error("ByM(9) returned the m=8 code")
+	}
+}
+
 func randomVector(rng *rand.Rand, n int) *bitvec.Vector {
 	data := make([]byte, (n+7)/8)
 	rng.Read(data)

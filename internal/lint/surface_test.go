@@ -27,7 +27,6 @@ var allowedSurface = map[string]string{
 	"internal/hamming.Code.Encode":      "oracle: the vector-form code the byte paths are checked against",
 	"internal/hamming.Code.Decode":      "oracle: the vector-form code the byte paths are checked against",
 	"internal/gd.Dictionary.LookupID":   "oracle read of TestDictionaryModel: dumps every id after every step",
-	"internal/gd.Dictionary.Remove":     "op of TestDictionaryModel and tool of TestDictionaryChurnProperty; its free list is named by Reset (noalloc), so both go together under ROADMAP 1(c)",
 	"internal/packet.Format.ParseType2": "oracle of the format round-trip tests and FuzzParseFormat",
 	"internal/tofino.Pipeline.Counters": "tool: zswitch's differential test diffs it whole",
 	"internal/tofino.Table.Get":         "tool: controlplane tests read table state without refreshing idle timers",

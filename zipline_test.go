@@ -3,6 +3,7 @@ package zipline
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +46,37 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewCodecConcurrent builds codecs of several sizes from
+// concurrent goroutines, the first of each size among them, and round
+// trips a chunk through each: the Hamming code of one m is built once
+// and shared, so under -race this checks that sharing.
+func TestNewCodecConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, m := range []int{4, 8, 10} {
+				c, err := NewCodec(Config{M: m})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				chunk := bytes.Repeat([]byte{byte(g + m)}, c.ChunkSize())
+				s, err := c.Split(chunk)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if out, err := c.Merge(s, nil); err != nil || !bytes.Equal(out, chunk) {
+					t.Errorf("m=%d: round trip = %x, %v", m, out, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCodecValidation(t *testing.T) {
