@@ -5,7 +5,7 @@
 // the packet formats and control-plane protocol that let a pair of
 // programmable switches compress a link transparently at line rate.
 //
-// Three layers of API:
+// Two layers of API:
 //
 //   - Codec: chunk-level GD — Split a fixed-size chunk into
 //     (basis, deviation, extra) and Merge it back losslessly.
@@ -18,14 +18,14 @@
 //     number of encoders, Reset re-serves a pooled instance with zero
 //     steady-state allocations, and EncodeAll/DecodeAll are the
 //     concurrency-safe one-shot paths for short streams.
-//   - SimulateLink: the full in-network system — two switch
-//     pipelines, digests, a control plane with realistic learning
-//     latency — on a deterministic discrete-event testbed.
 //
 // Deployment surfaces build on the streaming layer: zipline/ziphttp
 // wraps it as HTTP middleware, client transport and a TCP proxy pair
 // (the paper's switch pair as userspace infrastructure), and
-// cmd/zipline-proxy ships the proxy as a binary.
+// cmd/zipline-proxy ships the proxy as a binary. The in-network system
+// itself, switch pipelines and control plane, runs on the
+// internal/scenario testbed (cmd/zipline-sim); this package does not
+// import it.
 //
 // Invariants the tests pin, in rough order of importance:
 // losslessness (every Split/Merge and Writer/Reader pair is a

@@ -98,24 +98,3 @@ func ExampleWriter_EncodeAll() {
 	// Output:
 	// concurrent flows lossless: true
 }
-
-// The full in-network system: after the control plane learns the one
-// basis (≈1.8 ms), every packet crosses the link compressed.
-func ExampleSimulateLink() {
-	payload := bytes.Repeat([]byte{0x42}, 32)
-	res, _ := zipline.SimulateLink(zipline.LinkSimConfig{
-		Payloads: func(i int) []byte {
-			if i >= 10_000 {
-				return nil
-			}
-			return payload
-		},
-	})
-	fmt.Println("bases learned:", res.BasesLearned)
-	fmt.Println("compressed majority:", res.CompressedFrames > res.UncompressedFrames)
-	fmt.Println("ratio below 0.2:", res.Ratio() < 0.2)
-	// Output:
-	// bases learned: 1
-	// compressed majority: true
-	// ratio below 0.2: true
-}

@@ -1,8 +1,9 @@
-// Inlinecompression: the full in-network deployment — a sender
-// streams sensor payloads through a ZipLine switch whose dictionary
-// is learned on the fly by the control plane. Watch the traffic
-// switch from uncompressed (type 2) to compressed (type 3) as bases
-// are learned, with the paper's ≈1.8 ms control-plane latency.
+// Inlinecompression: the full in-network deployment on the paper's
+// §7 testbed (internal/experiments' two-server, one-switch fixture) —
+// a sender streams sensor payloads through a ZipLine switch whose
+// dictionary is learned on the fly by the control plane. Watch the
+// traffic switch from uncompressed (type 2) to compressed (type 3) as
+// bases are learned, with the paper's ≈1.8 ms control-plane latency.
 //
 //	go run ./examples/inlinecompression
 package main
@@ -16,6 +17,8 @@ import (
 	"os"
 
 	"zipline"
+	"zipline/internal/experiments"
+	"zipline/internal/packet"
 )
 
 func main() {
@@ -54,27 +57,24 @@ func run(w io.Writer) error {
 		return payloads[i]
 	}
 
-	res, err := zipline.SimulateLink(zipline.LinkSimConfig{
-		ReplayPPS: 200_000,
-		Payloads:  payload,
-		Seed:      11,
-	})
+	r, rx, err := experiments.InlineLink(11, 200_000, payload)
 	if err != nil {
 		return err
 	}
+	t2 := rx.FirstArrival[packet.TypeUncompressed]
+	t3 := rx.FirstArrival[packet.TypeCompressed]
 
-	fmt.Fprintf(w, "packets sent        : %d\n", res.Sent)
-	fmt.Fprintf(w, "received            : %d\n", res.Received)
-	fmt.Fprintf(w, "  type 2 (full basis): %d\n", res.UncompressedFrames)
-	fmt.Fprintf(w, "  type 3 (compressed): %d\n", res.CompressedFrames)
-	fmt.Fprintf(w, "bases learned       : %d\n", res.BasesLearned)
-	fmt.Fprintf(w, "payload in          : %.2f MB\n", float64(res.InputPayloadBytes)/1e6)
-	fmt.Fprintf(w, "payload out         : %.2f MB\n", float64(res.OutputPayloadBytes)/1e6)
-	fmt.Fprintf(w, "compression ratio   : %.3f\n", res.Ratio())
-	fmt.Fprintf(w, "first type 2 at     : %.3f ms\n", float64(res.FirstUncompressedNs)/1e6)
+	fmt.Fprintf(w, "packets sent        : %d\n", r.Offered.Frames)
+	fmt.Fprintf(w, "received            : %d\n", rx.Frames)
+	fmt.Fprintf(w, "  type 2 (full basis): %d\n", rx.TypeFrames[packet.TypeUncompressed])
+	fmt.Fprintf(w, "  type 3 (compressed): %d\n", rx.TypeFrames[packet.TypeCompressed])
+	fmt.Fprintf(w, "bases learned       : %d\n", r.Learning.Learned)
+	fmt.Fprintf(w, "payload in          : %.2f MB\n", float64(r.Offered.PayloadBytes)/1e6)
+	fmt.Fprintf(w, "payload out         : %.2f MB\n", float64(rx.PayloadBytes)/1e6)
+	fmt.Fprintf(w, "compression ratio   : %.3f\n", float64(rx.PayloadBytes)/float64(r.Offered.PayloadBytes))
+	fmt.Fprintf(w, "first type 2 at     : %.3f ms\n", float64(t2)/1e6)
 	fmt.Fprintf(w, "first type 3 at     : %.3f ms (learning delay ≈ %.2f ms)\n",
-		float64(res.FirstCompressedNs)/1e6,
-		float64(res.FirstCompressedNs-res.FirstUncompressedNs)/1e6)
+		float64(t3)/1e6, float64(t3-t2)/1e6)
 
 	// The same traffic through a gateway instead of a switch pair: a
 	// dictionary pre-trained on the first minute of packets, shared by

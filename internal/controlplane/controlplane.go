@@ -175,17 +175,12 @@ type Controller struct {
 	digestsBy map[*tofino.Pipeline]uint64
 }
 
-// New builds a controller for an encoder/decoder pipeline pair.
-// basisBits is the dictionary key width (Codec.BasisBits()).
-func New(sim *netsim.Sim, cfg Config, enc, dec *tofino.Pipeline, basisBits int) (*Controller, error) {
-	return NewMulti(sim, cfg, []*tofino.Pipeline{enc}, []*tofino.Pipeline{dec}, basisBits)
-}
-
-// NewMulti builds a controller owning the dictionaries of several
-// encoder and decoder pipelines. Each install phase programs every
-// pipeline of its tier in one batched BfRt write: all decoders first,
-// then all encoders, preserving the paper's invariant that a
-// compressed packet can always be uncompressed — now network-wide.
+// NewMulti builds a controller owning the dictionaries of one or more
+// encoder and decoder pipelines; basisBits is the dictionary key width
+// (Codec.BasisBits()). Each install phase programs every pipeline of
+// its tier in one batched BfRt write: all decoders first, then all
+// encoders, preserving the paper's invariant that a compressed packet
+// can always be uncompressed — now network-wide.
 func NewMulti(sim *netsim.Sim, cfg Config, encs, decs []*tofino.Pipeline, basisBits int) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if basisBits <= 0 {

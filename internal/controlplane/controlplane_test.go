@@ -43,7 +43,7 @@ func newTestbed(t *testing.T, swCfg zswitch.Config, cpCfg Config) *testbed {
 	b := netsim.NewHost(sim, netsim.HostConfig{Name: "b"}, bNIC)
 	sw.AttachPort(0, swA)
 	sw.AttachPort(1, swB)
-	ctl, err := New(sim, cpCfg, pl, pl, prog.Codec().BasisBits())
+	ctl, err := NewMulti(sim, cpCfg, []*tofino.Pipeline{pl}, []*tofino.Pipeline{pl}, prog.Codec().BasisBits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +227,10 @@ func TestDecoderInstalledBeforeEncoder(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	sim := netsim.NewSim(1)
-	if _, err := New(sim, Config{}, nil, nil, 0); err == nil {
+	if _, err := NewMulti(sim, Config{}, nil, nil, 0); err == nil {
 		t.Error("basisBits 0 accepted")
 	}
-	if _, err := New(sim, Config{IDBits: 30}, nil, nil, 247); err == nil {
+	if _, err := NewMulti(sim, Config{IDBits: 30}, nil, nil, 247); err == nil {
 		t.Error("IDBits 30 accepted")
 	}
 }

@@ -9,10 +9,11 @@
 // is a function of its seed — same seed, same tables, bit for bit —
 // so published numbers are reproducible and a diff in zipline-bench's
 // output (pinned by cmd/zipline-bench/testdata/quick-seed1.golden) is
-// meaningful. One harness: Figures 3, 4 and 5 and the learning-delay
-// measurement all run on internal/scenario — the two-server,
-// one-switch testbed is its smallest spec (fixture.go) — so nothing
-// here wires a switch, link, host or control plane by hand. The
-// package times nothing on the wall clock; software throughput is
-// the repo benchmark's job (bench/).
+// meaningful. One harness: Figures 3, 4 and 5, the learning-delay
+// measurement and InlineLink (the in-network deployment
+// examples/inlinecompression shows) all run on internal/scenario — the
+// two-server, one-switch testbed is its smallest spec (fixture.go) —
+// so nothing here wires a switch, link, host or control plane by
+// hand. The package times nothing on the wall clock; software
+// throughput is the repo benchmark's job (bench/).
 package experiments

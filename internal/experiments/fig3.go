@@ -5,7 +5,6 @@ import (
 
 	"zipline/internal/baseline"
 	"zipline/internal/gd"
-	"zipline/internal/packet"
 	"zipline/internal/scenario"
 	"zipline/internal/trace"
 	"zipline/internal/zswitch"
@@ -111,16 +110,12 @@ func fig3Spec(cfg Figure3Config) scenario.Spec {
 // report for the caller's Detail line; the sink is r.Hosts[1].
 func fig3Replay(sc *scenario.Scenario, ds *trace.Trace, name string) (Figure3Case, scenario.Report, error) {
 	records := ds.Records()
-	hdr := packet.Header{Dst: sc.MAC("sink"), Src: sc.MAC("sender"), EtherType: packet.EtherTypeRaw}
-	sc.Host("sender").Stream(0, 0, func(i uint64) []byte {
-		if i >= uint64(records) {
+	r := stream(sc, func(i int) []byte {
+		if i >= records {
 			return nil
 		}
-		rec := ds.Record(int(i))
-		sc.CountOffered(1, uint64(len(rec)))
-		return packet.Frame(hdr, rec)
+		return ds.Record(i)
 	})
-	r := sc.Run()
 
 	sink := r.Hosts[1]
 	if sink.RxFrames != uint64(records) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"zipline/internal/gd"
+	"zipline/internal/packet"
 	"zipline/internal/scenario"
 	"zipline/internal/tofino"
 	"zipline/internal/zswitch"
@@ -48,4 +49,19 @@ func buildFixed(spec scenario.Spec) (*scenario.Scenario, error) {
 // switchCodec returns the GD codec the fixture's switch runs.
 func switchCodec(sc *scenario.Scenario) *gd.Codec {
 	return sc.Pipeline("sw").Program().(*zswitch.Program).Codec()
+}
+
+// stream has the sender offer payloads(i), one raw frame each, until
+// it returns nil, and runs the built fixture to its end.
+func stream(sc *scenario.Scenario, payloads func(i int) []byte) scenario.Report {
+	hdr := packet.Header{Dst: sc.MAC("sink"), Src: sc.MAC("sender"), EtherType: packet.EtherTypeRaw}
+	sc.Host("sender").Stream(0, 0, func(i uint64) []byte {
+		p := payloads(int(i))
+		if p == nil {
+			return nil
+		}
+		sc.CountOffered(1, uint64(len(p)))
+		return packet.Frame(hdr, p)
+	})
+	return sc.Run()
 }

@@ -79,7 +79,7 @@ func TestEndToEndPcapReplayThroughSwitchPair(t *testing.T) {
 
 	// Control plane spans both switches: decoder-side install first.
 	prog, _ := zswitch.New(zswitch.Config{})
-	ctl, err := controlplane.New(sim, controlplane.Config{}, encPL, decPL, prog.Codec().BasisBits())
+	ctl, err := controlplane.NewMulti(sim, controlplane.Config{}, []*tofino.Pipeline{encPL}, []*tofino.Pipeline{decPL}, prog.Codec().BasisBits())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,3 +69,19 @@ func Learning(cfg LearningConfig) (LearningResult, error) {
 	}
 	return res, nil
 }
+
+// InlineLink runs the full in-network deployment on the fixture: the
+// sender offers payloads(i) at pps packets per second until it
+// returns nil, through an encoding switch whose dictionary the control
+// plane learns on the fly. It returns the run's report and the sink's
+// receive counters, whose FirstArrival times the learning delay.
+// Payloads shorter than a chunk cross raw. Same seed and payloads,
+// same result.
+func InlineLink(seed int64, pps float64, payloads func(i int) []byte) (scenario.Report, netsim.RxStats, error) {
+	sc, err := scenario.Build(fixture("inline", seed, scenario.RoleEncode, pps))
+	if err != nil {
+		return scenario.Report{}, netsim.RxStats{}, err
+	}
+	r := stream(sc, payloads)
+	return r, sc.Host("sink").Rx(), nil
+}

@@ -41,8 +41,6 @@ var allowedSurface = map[string]string{
 var allowedKnobs = map[string]string{
 	"internal/experiments.Figure3Config.IDBits": "TestFigure3StaticNAWhenOverflowing sets 2 to reach the static-table n/a case",
 	"internal/zswitch.Config.Packed":            "the differential matrix, the alloc pins and FuzzParseFormat turn it on; ablation A1 prints its sizes",
-	"zipline.LinkSimConfig.Codec":               "documented public option",
-	"zipline.LinkSimConfig.TTL":                 "documented public option; TestSimulateLinkTTLReturns",
 }
 
 // audited reports whether the surface rules apply to a package: the
@@ -365,5 +363,50 @@ func TestNoKnobNobodyTurns(t *testing.T) {
 		if !allowed[knob] {
 			t.Errorf("%s: allowlisted but set by non-test code (or gone); drop the entry", knob)
 		}
+	}
+}
+
+// simulator lists the packages of the switch deployment and its
+// testbed. The codec stands alone: its importers (ziphttp, the CLIs,
+// the proxy) must not type-check a simulator they never run.
+var simulator = []string{"netsim", "controlplane", "tofino", "zswitch", "packet", "stats"}
+
+// TestRootLinksNoSimulator fails if the root package reaches any
+// simulator package through its transitive imports.
+func TestRootLinksNoSimulator(t *testing.T) {
+	pkgs, err := loadPackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Module packages are checked from source, so their Imports are
+	// exactly what their files import; export data may list fewer.
+	bySource := make(map[string]*types.Package)
+	for _, p := range pkgs {
+		bySource[p.Pkg.Path()] = p.Pkg
+	}
+	via := map[string]string{"zipline": ""} // import path -> its importer
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if _, seen := via[imp.Path()]; seen {
+				continue
+			}
+			via[imp.Path()] = p.Path()
+			if src := bySource[imp.Path()]; src != nil {
+				walk(src)
+			}
+		}
+	}
+	walk(bySource["zipline"])
+	for _, name := range simulator {
+		path := "zipline/internal/" + name
+		if _, ok := via[path]; !ok {
+			continue
+		}
+		chain := path
+		for p := via[path]; p != ""; p = via[p] {
+			chain = p + " -> " + chain
+		}
+		t.Errorf("the root package imports %s (%s)", path, chain)
 	}
 }

@@ -107,111 +107,6 @@ func TestMustCodecPanics(t *testing.T) {
 	MustCodec(Config{M: 99})
 }
 
-func TestSimulateLinkCompresses(t *testing.T) {
-	payload := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(payload)
-	res, err := SimulateLink(LinkSimConfig{
-		ReplayPPS: 1_000_000,
-		Payloads: func(i int) []byte {
-			if i >= 5000 {
-				return nil
-			}
-			return payload
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent != 5000 || res.Received != 5000 {
-		t.Fatalf("sent/received = %d/%d", res.Sent, res.Received)
-	}
-	if res.BasesLearned != 1 {
-		t.Fatalf("learned = %d", res.BasesLearned)
-	}
-	if res.CompressedFrames == 0 || res.UncompressedFrames == 0 {
-		t.Fatalf("frame mix = %+v", res)
-	}
-	if res.Ratio() >= 1 {
-		t.Fatalf("ratio = %.3f, no compression", res.Ratio())
-	}
-	// Learning delay visible through the facade.
-	gap := res.FirstCompressedNs - res.FirstUncompressedNs
-	if gap < 1_500_000 || gap > 2_100_000 {
-		t.Fatalf("learning gap = %d ns", gap)
-	}
-}
-
-func TestSimulateLinkShortPayloadsPassThrough(t *testing.T) {
-	res, err := SimulateLink(LinkSimConfig{
-		Payloads: func(i int) []byte {
-			if i >= 100 {
-				return nil
-			}
-			return []byte{1, 2, 3}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RawFrames != 100 || res.CompressedFrames != 0 {
-		t.Fatalf("result = %+v", res)
-	}
-	if res.Ratio() != 1 {
-		t.Fatalf("ratio = %.3f", res.Ratio())
-	}
-}
-
-// TestSimulateLinkTTLReturns: with aging on, the control plane's sweep
-// re-arms itself forever, so the run must end on the sender finishing,
-// not on an empty event queue. Packets 1 ms apart against a 100 µs TTL
-// find their mapping aged out far more often than not.
-func TestSimulateLinkTTLReturns(t *testing.T) {
-	payload := make([]byte, 32)
-	rand.New(rand.NewSource(2)).Read(payload)
-	run := func(ttl int64) LinkSimResult {
-		res, err := SimulateLink(LinkSimConfig{
-			ReplayPPS: 1000,
-			TTL:       ttl,
-			Payloads: func(i int) []byte {
-				if i >= 100 {
-					return nil
-				}
-				return payload
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Sent != 100 || res.Received != res.Sent {
-			t.Fatalf("ttl %d: sent/received = %d/%d", ttl, res.Sent, res.Received)
-		}
-		return res
-	}
-	kept, aged := run(0), run(100_000)
-	if kept.CompressedFrames < 90 {
-		t.Fatalf("without aging only %d of 100 frames compressed", kept.CompressedFrames)
-	}
-	if aged.CompressedFrames*2 > kept.CompressedFrames {
-		t.Fatalf("compressed frames: %d with a 100 µs TTL vs %d without; aging had no effect",
-			aged.CompressedFrames, kept.CompressedFrames)
-	}
-	if aged.BasesLearned < 2 {
-		t.Fatalf("learned %d times with aging, want the basis re-learned", aged.BasesLearned)
-	}
-}
-
-func TestSimulateLinkValidation(t *testing.T) {
-	if _, err := SimulateLink(LinkSimConfig{}); err == nil {
-		t.Error("missing payload source accepted")
-	}
-	if _, err := SimulateLink(LinkSimConfig{
-		Codec:    Config{M: 99},
-		Payloads: func(int) []byte { return nil },
-	}); err == nil {
-		t.Error("bad codec config accepted")
-	}
-}
-
 func TestBCHCodecPublicAPI(t *testing.T) {
 	// T=2 selects the future-work BCH transform: same 32-byte chunks,
 	// wider deviation, and losslessness for arbitrary input.
