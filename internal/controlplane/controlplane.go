@@ -399,8 +399,8 @@ func (c *Controller) pickVictim() string {
 func (c *Controller) idleAcrossEncoders(key string) (int64, bool) {
 	minIdle, live := int64(0), false
 	for _, enc := range c.encs {
-		tbl, ok := enc.Table(zswitch.TableBasisToID)
-		if !ok {
+		tbl, _ := zswitch.Tables(enc)
+		if tbl == nil {
 			panic("controlplane: encoder pipeline lacks dictionary table")
 		}
 		idle, present := tbl.IdleTime([]byte(key), c.sim.Now())
@@ -492,7 +492,7 @@ func (c *Controller) sweep() {
 	for key, n := range expired {
 		present := 0
 		for _, enc := range c.encs {
-			if tbl, ok := enc.Table(zswitch.TableBasisToID); ok {
+			if tbl, _ := zswitch.Tables(enc); tbl != nil {
 				if _, holds := tbl.IdleTime([]byte(key), now); holds {
 					present++
 				}

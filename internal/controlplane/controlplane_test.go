@@ -167,7 +167,7 @@ func TestLRURecyclingWhenPoolExhausted(t *testing.T) {
 	}
 	// Evicted basis 0 now re-encodes as type 2 again.
 	s0, _ := tb.prog.Codec().SplitChunk(payloads[0])
-	tbl, _ := tb.sw.Pipeline().Table(zswitch.TableBasisToID)
+	tbl, _ := zswitch.Tables(tb.sw.Pipeline())
 	if _, live := tbl.Get(s0.Basis.Bytes()); live {
 		t.Fatal("LRU victim still installed")
 	}
@@ -203,8 +203,7 @@ func TestDecoderInstalledBeforeEncoder(t *testing.T) {
 	// The two-phase protocol: at no point may the encoder table hold
 	// a mapping whose identifier the decoder cannot resolve.
 	tb := newTestbed(t, zswitch.Config{}, Config{})
-	encTbl, _ := tb.sw.Pipeline().Table(zswitch.TableBasisToID)
-	decTbl, _ := tb.sw.Pipeline().Table(zswitch.TableIDToBasis)
+	encTbl, decTbl := zswitch.Tables(tb.sw.Pipeline())
 
 	payload := make([]byte, 32)
 	rand.New(rand.NewSource(12)).Read(payload)

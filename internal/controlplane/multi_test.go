@@ -57,13 +57,13 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 	probed := 0
 	check := func() {
 		for _, enc := range []*tofino.Pipeline{enc1, enc2} {
-			encTbl, _ := enc.Table(zswitch.TableBasisToID)
+			encTbl, _ := zswitch.Tables(enc)
 			if _, hit := encTbl.Get(s.Basis.Bytes()); !hit {
 				continue
 			}
 			probed++
 			for _, dec := range []*tofino.Pipeline{dec1, dec2} {
-				decTbl, _ := dec.Table(zswitch.TableIDToBasis)
+				_, decTbl := zswitch.Tables(dec)
 				if decTbl.Len() == 0 {
 					t.Fatal("encoder mapping live before decoder install")
 				}
@@ -82,13 +82,13 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 		t.Fatalf("learned = %d", ctl.Stats().Learned)
 	}
 	for i, pl := range []*tofino.Pipeline{enc1, enc2} {
-		tbl, _ := pl.Table(zswitch.TableBasisToID)
+		tbl, _ := zswitch.Tables(pl)
 		if tbl.Len() != 1 {
 			t.Fatalf("encoder %d has %d mappings, want 1", i, tbl.Len())
 		}
 	}
 	for i, pl := range []*tofino.Pipeline{dec1, dec2} {
-		tbl, _ := pl.Table(zswitch.TableIDToBasis)
+		_, tbl := zswitch.Tables(pl)
 		if tbl.Len() != 1 {
 			t.Fatalf("decoder %d has %d mappings, want 1", i, tbl.Len())
 		}

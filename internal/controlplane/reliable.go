@@ -202,7 +202,7 @@ func (c *Controller) resync(pl *tofino.Pipeline, downSince, upAt netsim.Time, en
 		if err := zswitch.SetBypass(enc, true); err != nil {
 			panic(fmt.Sprintf("controlplane: quarantine: %v", err))
 		}
-		if t, ok := enc.Table(zswitch.TableBasisToID); ok {
+		if t, _ := zswitch.Tables(enc); t != nil {
 			t.Clear()
 		}
 	}, func(bool) {

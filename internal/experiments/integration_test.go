@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"testing"
 
-	"zipline/internal/controlplane"
 	"zipline/internal/netsim"
 	"zipline/internal/packet"
 	"zipline/internal/pcap"
-	"zipline/internal/tofino"
+	"zipline/internal/scenario"
 	"zipline/internal/trace"
 	"zipline/internal/zswitch"
 )
@@ -21,15 +20,36 @@ import (
 func TestEndToEndPcapReplayThroughSwitchPair(t *testing.T) {
 	ds := trace.Sensor(trace.SensorConfig{Records: 20_000, Sensors: 50, Seed: 31})
 
+	// Testbed: sender — encoder switch — decoder switch — sink, with
+	// one control plane spanning both switches.
+	sc, err := scenario.Build(scenario.Spec{
+		Name: "pcap-replay",
+		Seed: 37,
+		Hosts: []scenario.HostSpec{
+			{Name: "sender", MaxPPS: 500_000},
+			{Name: "sink"},
+		},
+		Switches: []scenario.SwitchSpec{
+			{Name: "enc", Ports: []scenario.PortSpec{{Port: 0, Role: scenario.RoleEncode, Out: 1}}},
+			{Name: "dec", Ports: []scenario.PortSpec{{Port: 0, Role: scenario.RoleDecode, Out: 1}}},
+		},
+		Links: []scenario.LinkSpec{
+			{A: "sender", B: "enc:0"},
+			{A: "enc:1", B: "dec:0"},
+			{A: "dec:1", B: "sink"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// Trace → pcap → frames (exercising the capture path).
 	var buf bytes.Buffer
 	w, err := pcap.NewWriter(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := packet.MAC{2, 0, 0, 0, 0, 1}
-	dst := packet.MAC{2, 0, 0, 0, 0, 2}
-	if err := ds.WritePcap(w, src, dst, 5000); err != nil {
+	if err := ds.WritePcap(w, sc.MAC("sender"), sc.MAC("sink"), 5000); err != nil {
 		t.Fatal(err)
 	}
 	r, err := pcap.NewReader(&buf)
@@ -48,62 +68,18 @@ func TestEndToEndPcapReplayThroughSwitchPair(t *testing.T) {
 		t.Fatalf("pcap frames = %d", len(frames))
 	}
 
-	// Testbed: host A — encoder switch — decoder switch — host B.
-	sim := netsim.NewSim(37)
-	newSW := func(name string, role zswitch.Role) (*netsim.Switch, *tofino.Pipeline) {
-		prog, err := zswitch.New(zswitch.Config{
-			Roles:   map[tofino.Port]zswitch.Role{0: role},
-			PortMap: map[tofino.Port]tofino.Port{0: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := tofino.Load(tofino.Config{Name: name}, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return netsim.NewSwitch(sim, netsim.SwitchConfig{Name: name}, pl), pl
-	}
-	encSW, encPL := newSW("enc", zswitch.RoleEncode)
-	decSW, decPL := newSW("dec", zswitch.RoleDecode)
-
-	aNIC, encIn := netsim.NewLink(sim, netsim.LinkConfig{}, "a", "enc0")
-	encOut, decIn := netsim.NewLink(sim, netsim.LinkConfig{}, "enc1", "dec0")
-	decOut, bNIC := netsim.NewLink(sim, netsim.LinkConfig{}, "dec1", "b")
-	hostA := netsim.NewHost(sim, netsim.HostConfig{Name: "a", MaxPPS: 500_000}, aNIC)
-	hostB := netsim.NewHost(sim, netsim.HostConfig{Name: "b"}, bNIC)
-	encSW.AttachPort(0, encIn)
-	encSW.AttachPort(1, encOut)
-	decSW.AttachPort(0, decIn)
-	decSW.AttachPort(1, decOut)
-
-	// Control plane spans both switches: decoder-side install first.
-	prog, _ := zswitch.New(zswitch.Config{})
-	ctl, err := controlplane.NewMulti(sim, controlplane.Config{}, []*tofino.Pipeline{encPL}, []*tofino.Pipeline{decPL}, prog.Codec().BasisBits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.Bind(encSW)
-
-	// Count what crosses the compressed hop.
-	var hopBytes uint64
-	origRecv := func(frame []byte, at netsim.Time) {}
-	_ = origRecv
-
 	var received [][]byte
-	hostB.OnReceive = func(frame []byte, at netsim.Time) {
-		cp := make([]byte, len(frame))
-		copy(cp, frame)
-		received = append(received, cp)
+	sc.Host("sink").OnReceive = func(frame []byte, at netsim.Time) {
+		received = append(received, bytes.Clone(frame))
 	}
-
-	hostA.Stream(0, 0, func(i uint64) []byte {
+	sc.Host("sender").Stream(0, 0, func(i uint64) []byte {
 		if int(i) >= len(frames) {
 			return nil
 		}
+		sc.CountOffered(1, uint64(len(frames[i])-packet.HeaderLen))
 		return frames[i]
 	})
-	sim.Run()
+	rep := sc.Run()
 
 	if len(received) != len(frames) {
 		t.Fatalf("received %d of %d frames", len(received), len(frames))
@@ -119,8 +95,8 @@ func TestEndToEndPcapReplayThroughSwitchPair(t *testing.T) {
 	}
 
 	// The compressed hop must have carried mostly type 3 traffic.
-	encStats := zswitch.ReadStats(encPL)
-	decStats := zswitch.ReadStats(decPL)
+	encStats := zswitch.ReadStats(sc.Pipeline("enc"))
+	decStats := zswitch.ReadStats(sc.Pipeline("dec"))
 	if encStats.RawToType3 == 0 {
 		t.Fatal("no compression on the hop")
 	}
@@ -130,11 +106,16 @@ func TestEndToEndPcapReplayThroughSwitchPair(t *testing.T) {
 	if decStats.DecodeMiss != 0 {
 		t.Fatalf("decode misses: %d", decStats.DecodeMiss)
 	}
-	hopBytes = encOut.TxBytes
+	var hopBytes uint64
+	for _, l := range rep.Links {
+		if l.From == "enc:1" && l.To == "dec:0" {
+			hopBytes = l.TxBytes
+		}
+	}
 	rawBytes := uint64(ds.Records()) * uint64(packet.HeaderLen+ds.RecordSize)
-	if hopBytes >= rawBytes {
-		t.Fatalf("hop carried %d bytes ≥ raw %d", hopBytes, rawBytes)
+	if hopBytes == 0 || hopBytes >= rawBytes {
+		t.Fatalf("hop carried %d bytes, raw %d", hopBytes, rawBytes)
 	}
 	t.Logf("hop carried %.1f%% of raw frame bytes (learned %d bases)",
-		100*float64(hopBytes)/float64(rawBytes), ctl.Stats().Learned)
+		100*float64(hopBytes)/float64(rawBytes), rep.Learning.Learned)
 }

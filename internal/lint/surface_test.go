@@ -28,7 +28,6 @@ var allowedSurface = map[string]string{
 	"internal/hamming.Code.Decode":      "oracle: the vector-form code the byte paths are checked against",
 	"internal/gd.Dictionary.LookupID":   "oracle read of TestDictionaryModel: dumps every id after every step",
 	"internal/packet.Format.ParseType2": "oracle of the format round-trip tests and FuzzParseFormat",
-	"internal/tofino.Pipeline.Counters": "tool: zswitch's differential test diffs it whole",
 	"internal/tofino.Table.Get":         "tool: controlplane tests read table state without refreshing idle timers",
 	"internal/lint/linttest.Run":        "the analyzers' test harness: only _test files can call it",
 	"ziphttp.WithConfig":                "documented public option",

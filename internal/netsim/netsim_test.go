@@ -211,8 +211,8 @@ func TestLinkFullDuplex(t *testing.T) {
 // noopProgram forwards port 0 <-> 1 unconditionally.
 type noopProgram struct{}
 
-func (noopProgram) Name() string                { return "noop" }
-func (noopProgram) Declare(*tofino.Alloc) error { return nil }
+func (noopProgram) Name() string            { return "noop" }
+func (noopProgram) Tables() []*tofino.Table { return nil }
 func (noopProgram) Process(ctx *tofino.Ctx, frame []byte, in tofino.Port, out []tofino.Emit) []tofino.Emit {
 	return append(out, tofino.Emit{Port: in ^ 1, Frame: frame})
 }

@@ -62,7 +62,7 @@ func TestEncoderMappingsResolveAtEveryDecoder(t *testing.T) {
 			probes := 0
 			check := func() {
 				for _, enc := range sc.encNames {
-					encTbl, _ := sc.pipes[enc].Table(zswitch.TableBasisToID)
+					encTbl, _ := zswitch.Tables(sc.pipes[enc])
 					for _, key := range digested {
 						act, held := encTbl.Get([]byte(key))
 						if !held {
@@ -78,7 +78,7 @@ func TestEncoderMappingsResolveAtEveryDecoder(t *testing.T) {
 								continue
 							}
 							probes++
-							decTbl, _ := sc.pipes[dec].Table(zswitch.TableIDToBasis)
+							_, decTbl := zswitch.Tables(sc.pipes[dec])
 							if _, ok := decTbl.Get(idKey[:]); !ok {
 								t.Fatalf("at %d ns: encoder %s maps a basis to id %d, which decoder %s cannot resolve",
 									sc.Sim.Now(), enc, id, dec)

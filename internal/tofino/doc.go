@@ -13,13 +13,15 @@
 //     until the table's next control-plane write;
 //   - digests, the data-plane→control-plane message channel used to
 //     report unknown bases;
-//   - counters;
 //   - an SRAM resource model that bounds table sizes the way the
 //     hardware does (the reason the paper settles on 15-bit IDs).
 //
 // The model is deliberately not a P4 interpreter: programs are Go
-// code implementing the Program interface, but they may only touch
-// state through the Ctx handles, which enforce the architecture's
-// restrictions (single apply per table per pass, no data-plane table
-// writes, bounded per-packet work).
+// code implementing the Program interface. A program builds its tables
+// and hands them to Load, and it applies them only through the Ctx,
+// which enforces the architecture's restrictions (single apply per
+// table per pass, no data-plane table writes, bounded per-packet
+// work). Counters are plain program state: on the hardware they live
+// in dedicated stats SRAM outside the table budget, so the model has
+// nothing of them to check.
 package tofino

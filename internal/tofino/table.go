@@ -31,13 +31,18 @@ type Table struct {
 	// idleTimeoutNs > 0 enables TNA-style per-entry aging.
 	idleTimeoutNs int64
 
+	// owner is the pipeline that loaded the table and slot its bit in
+	// the per-pass applied mask; both are set once, at Load.
+	owner *Pipeline
+	slot  uint
+
 	ix      slab.Index // the keys, dense: Delete moves the last entry into the hole
 	actLen  int        // bytes per action, ceil(actBits/8)
 	acts    []byte     // entry i's action at [i*actLen, (i+1)*actLen)
 	lastHit []int64    // entry i's last data-plane hit
 }
 
-// TableSpec declares a table's geometry at program Declare time.
+// TableSpec declares a table's geometry.
 type TableSpec struct {
 	Name string
 	// KeyBits and ActionBits size the SRAM cost model. ActionBits
@@ -51,7 +56,9 @@ type TableSpec struct {
 	IdleTimeoutNs int64
 }
 
-func newTable(s TableSpec) (*Table, error) {
+// NewTable builds an empty table. A program builds its tables before
+// Load and lists them in Tables; until then Ctx.ApplyBytes rejects it.
+func NewTable(s TableSpec) (*Table, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("tofino: table needs a name")
 	}

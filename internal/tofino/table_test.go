@@ -69,7 +69,7 @@ type modelPair struct {
 }
 
 func newModelPair(t *testing.T, capacity, actBits int, timeout int64) *modelPair {
-	tbl, err := newTable(TableSpec{Name: "m", KeyBits: 16, ActionBits: actBits, Capacity: capacity, IdleTimeoutNs: timeout})
+	tbl, err := NewTable(TableSpec{Name: "m", KeyBits: 16, ActionBits: actBits, Capacity: capacity, IdleTimeoutNs: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func BenchmarkTableLookup(b *testing.B) {
 
 func benchTable(b *testing.B) (*Table, [][]byte, []byte) {
 	const n = 1 << 15
-	tbl, err := newTable(TableSpec{Name: "id_to_basis", KeyBits: 15, ActionBits: 247, Capacity: n})
+	tbl, err := NewTable(TableSpec{Name: "id_to_basis", KeyBits: 15, ActionBits: 247, Capacity: n})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,35 +8,32 @@ import (
 // echoProg is a minimal test program: counts packets, looks keys up
 // in one table, reports misses via digests, and reflects frames.
 type echoProg struct {
-	tbl    TableHandle
-	hits   CounterHandle
-	misses CounterHandle
+	tbl          *Table
+	hits, misses uint64
 
 	applyTwice bool // fault injection: violate the one-apply rule
 }
 
-func (p *echoProg) Name() string { return "echo" }
-
-func (p *echoProg) Declare(a *Alloc) error {
-	var err error
-	if p.tbl, err = a.Table(TableSpec{
+func newEchoProg(t *testing.T) *echoProg {
+	t.Helper()
+	tbl, err := NewTable(TableSpec{
 		Name: "map", KeyBits: 32, ActionBits: 16, Capacity: 4, IdleTimeoutNs: 1000,
-	}); err != nil {
-		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.hits, err = a.Counter("hits"); err != nil {
-		return err
-	}
-	p.misses, err = a.Counter("misses")
-	return err
+	return &echoProg{tbl: tbl}
 }
+
+func (p *echoProg) Name() string     { return "echo" }
+func (p *echoProg) Tables() []*Table { return []*Table{p.tbl} }
 
 func (p *echoProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit {
 	key := frame[:4]
 	if _, ok := ctx.ApplyBytes(p.tbl, key); ok {
-		ctx.Count(p.hits, 1)
+		p.hits++
 	} else {
-		ctx.Count(p.misses, 1)
+		p.misses++
 		ctx.Digest("unknown", frame[:4])
 	}
 	if p.applyTwice {
@@ -55,7 +52,7 @@ func load(t *testing.T, prog Program) *Pipeline {
 }
 
 func TestPipelineBasicFlow(t *testing.T) {
-	prog := &echoProg{}
+	prog := newEchoProg(t)
 	p := load(t, prog)
 
 	frame := []byte{1, 2, 3, 4, 5, 6}
@@ -63,24 +60,20 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if len(out) != 1 || out[0].Port != 2 {
 		t.Fatalf("emit = %+v", out)
 	}
-	if p.Counter("misses") != 1 || p.Counter("hits") != 0 {
-		t.Fatalf("counters = %v", p.Counters())
+	if prog.misses != 1 || prog.hits != 0 {
+		t.Fatalf("hits, misses = %d, %d", prog.hits, prog.misses)
 	}
 	if p.PendingDigests() != 1 {
 		t.Fatalf("digests = %d", p.PendingDigests())
 	}
 
 	// Control plane learns the key; next packet hits.
-	tbl, ok := p.Table("map")
-	if !ok {
-		t.Fatal("table not found")
-	}
-	if err := tbl.Install(frame[:4], []byte{0, 7}, 150); err != nil {
+	if err := prog.tbl.Install(frame[:4], []byte{0, 7}, 150); err != nil {
 		t.Fatal(err)
 	}
 	p.ProcessAppend(200, frame, 3, nil)
-	if p.Counter("hits") != 1 {
-		t.Fatalf("counters = %v", p.Counters())
+	if prog.hits != 1 {
+		t.Fatalf("hits = %d", prog.hits)
 	}
 
 	ds := p.DrainDigests()
@@ -93,8 +86,7 @@ func TestPipelineBasicFlow(t *testing.T) {
 }
 
 func TestDigestDataIsCopied(t *testing.T) {
-	prog := &echoProg{}
-	p := load(t, prog)
+	p := load(t, newEchoProg(t))
 	frame := []byte{9, 9, 9, 9}
 	p.ProcessAppend(0, frame, 0, nil)
 	frame[0] = 1 // mutate after emission
@@ -105,7 +97,7 @@ func TestDigestDataIsCopied(t *testing.T) {
 }
 
 func TestTableCapacityAndDelete(t *testing.T) {
-	tbl, err := newTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 2})
+	tbl, err := NewTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +126,7 @@ func TestTableCapacityAndDelete(t *testing.T) {
 }
 
 func TestTableIdleTimeout(t *testing.T) {
-	tbl, err := newTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 4, IdleTimeoutNs: 100})
+	tbl, err := NewTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 4, IdleTimeoutNs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +151,7 @@ func TestTableIdleTimeout(t *testing.T) {
 }
 
 func TestTableNoAgingWhenDisabled(t *testing.T) {
-	tbl, _ := newTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 4})
+	tbl, _ := NewTable(TableSpec{Name: "t", KeyBits: 8, Capacity: 4})
 	tbl.Install([]byte("a"), nil, 0)
 	if exp := tbl.ExpiredKeys(1 << 60); exp != nil {
 		t.Fatalf("expired = %v with aging disabled", exp)
@@ -184,19 +176,21 @@ func TestSRAMBudgetEnforced(t *testing.T) {
 
 type tableProg struct {
 	spec TableSpec
-	h    TableHandle
 }
 
 func (p *tableProg) Name() string { return "tableProg" }
-func (p *tableProg) Declare(a *Alloc) error {
-	var err error
-	p.h, err = a.Table(p.spec)
-	return err
+func (p *tableProg) Tables() []*Table {
+	t, err := NewTable(p.spec)
+	if err != nil {
+		panic(err)
+	}
+	return []*Table{t}
 }
 func (p *tableProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit { return out }
 
 func TestDoubleApplyPanics(t *testing.T) {
-	prog := &echoProg{applyTwice: true}
+	prog := newEchoProg(t)
+	prog.applyTwice = true
 	p := load(t, prog)
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "applied twice") {
@@ -218,8 +212,8 @@ func TestInvalidEmitPortPanics(t *testing.T) {
 
 type badPortProg struct{}
 
-func (badPortProg) Name() string           { return "badport" }
-func (badPortProg) Declare(a *Alloc) error { return nil }
+func (badPortProg) Name() string     { return "badport" }
+func (badPortProg) Tables() []*Table { return nil }
 func (badPortProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit {
 	return append(out, Emit{Port: 99, Frame: frame})
 }
@@ -233,33 +227,37 @@ func TestDeclareValidation(t *testing.T) {
 		{Name: "x", KeyBits: 8, Capacity: 1, IdleTimeoutNs: -5},
 	}
 	for i, spec := range cases {
-		if _, err := Load(Config{}, &tableProg{spec: spec}); err == nil {
+		if _, err := NewTable(spec); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
 		}
 	}
-	// Duplicate declarations.
-	if _, err := Load(Config{}, &dupProg{}); err == nil {
-		t.Error("duplicate table accepted")
-	}
-	if _, err := Load(Config{Ports: -1}, &echoProg{}); err == nil {
+	if _, err := Load(Config{Ports: -1}, newEchoProg(t)); err == nil {
 		t.Error("negative port count accepted")
 	}
-}
-
-type dupProg struct{}
-
-func (dupProg) Name() string { return "dup" }
-func (dupProg) Declare(a *Alloc) error {
-	if _, err := a.Table(TableSpec{Name: "t", KeyBits: 8, Capacity: 1}); err != nil {
-		return err
+	// A table belongs to the one pipeline that loaded it.
+	prog := newEchoProg(t)
+	load(t, prog)
+	if _, err := Load(Config{}, prog); err == nil {
+		t.Error("table loaded into a second pipeline")
 	}
-	_, err := a.Table(TableSpec{Name: "t", KeyBits: 8, Capacity: 1})
-	return err
+	many := make([]*Table, MaxTables+1)
+	for i := range many {
+		many[i] = newEchoProg(t).tbl
+	}
+	if _, err := Load(Config{}, &listProg{tables: many}); err == nil {
+		t.Errorf("%d tables accepted", len(many))
+	}
 }
-func (dupProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit { return out }
+
+// listProg loads a fixed table list and drops every packet.
+type listProg struct{ tables []*Table }
+
+func (p *listProg) Name() string                                                    { return "list" }
+func (p *listProg) Tables() []*Table                                                { return p.tables }
+func (p *listProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []Emit { return out }
 
 func TestPipelineAccessors(t *testing.T) {
-	prog := &echoProg{}
+	prog := newEchoProg(t)
 	p := load(t, prog)
 	if p.Config().Ports != DefaultPorts {
 		t.Fatalf("Config = %+v", p.Config())
@@ -267,17 +265,10 @@ func TestPipelineAccessors(t *testing.T) {
 	if p.SRAMBits() <= 0 {
 		t.Fatal("SRAM accounting missing")
 	}
-	p.ProcessAppend(0, []byte{1, 2, 3, 4}, 0, nil)
-	all := p.Counters()
-	if all["misses"] != 1 {
-		t.Fatalf("Counters() = %v", all)
+	if p.Program() != prog {
+		t.Fatal("Program() is not the loaded program")
 	}
-	// Counters() returns a copy.
-	all["misses"] = 99
-	if p.Counter("misses") != 1 {
-		t.Fatal("Counters() aliases internal state")
-	}
-	tbl, _ := p.Table("map")
+	tbl := prog.tbl
 	if tbl.Name() != "map" || tbl.Capacity() != 4 {
 		t.Fatalf("table accessors: %s/%d", tbl.Name(), tbl.Capacity())
 	}
@@ -290,26 +281,22 @@ func TestPipelineAccessors(t *testing.T) {
 }
 
 func TestCtxNowAndUndeclaredPanics(t *testing.T) {
-	prog := &echoProg{}
+	prog := newEchoProg(t)
 	p := load(t, prog)
 	ctx := Ctx{p: p, now: 77}
 	if ctx.Now() != 77 {
 		t.Fatal("Now broken")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("undeclared counter accepted")
-			}
+	other := load(t, newEchoProg(t))
+	unloaded := newEchoProg(t)
+	for i, tbl := range []*Table{other.Program().Tables()[0], unloaded.tbl} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), "not loaded in this pipeline") {
+					t.Errorf("table %d (foreign, unloaded): recover = %v", i, r)
+				}
+			}()
+			(&Ctx{p: p}).ApplyBytes(tbl, []byte("kkkk"))
 		}()
-		ctx.Count(CounterHandle{name: "ghost"}, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("undeclared table accepted")
-			}
-		}()
-		(&Ctx{p: p}).ApplyBytes(TableHandle{name: "ghost"}, []byte("k"))
-	}()
+	}
 }

@@ -130,9 +130,10 @@ func TestInstallZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, refill); n != 0 {
 		t.Errorf("Restart and reinstalling %d mappings allocates %.1f, want 0", len(bases), n)
 	}
-	for _, name := range []string{TableBasisToID, TableIDToBasis} {
-		if tbl, _ := pl.Table(name); tbl.Len() != len(bases) {
-			t.Fatalf("%s holds %d entries, want %d", name, tbl.Len(), len(bases))
+	basisToID, idToBasis := Tables(pl)
+	for _, tbl := range []*tofino.Table{basisToID, idToBasis} {
+		if tbl.Len() != len(bases) {
+			t.Fatalf("%s holds %d entries, want %d", tbl.Name(), tbl.Len(), len(bases))
 		}
 	}
 }

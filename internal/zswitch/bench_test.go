@@ -79,6 +79,30 @@ func BenchmarkSwitchEncode(b *testing.B) {
 	reportPktsPerSec(b)
 }
 
+// BenchmarkSwitchEncodeMiss measures the encode path with an empty
+// dictionary: every packet misses, so each one digests its basis to
+// the control plane and leaves as type 2. The digest copy is the
+// path's one allocation; the queue is drained every 1 000 packets.
+func BenchmarkSwitchEncodeMiss(b *testing.B) {
+	prog, pl := benchPipeline(b, RoleEncode)
+	frame := benchRawFrame(prog, 1)
+
+	var scratch []tofino.Emit
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch = pl.ProcessAppend(int64(i), frame, 0, scratch[:0])
+		if len(scratch) != 1 {
+			b.Fatal("emit count")
+		}
+		if pl.PendingDigests() >= 1000 {
+			pl.DrainDigests()
+		}
+	}
+	reportPktsPerSec(b)
+}
+
 // BenchmarkSwitchDecode measures the steady-state decode path: a
 // type-3 frame whose identifier is installed in the decoder table.
 func BenchmarkSwitchDecode(b *testing.B) {

@@ -16,22 +16,15 @@ func InstallBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector, id uint32, now 
 	if err != nil {
 		return err
 	}
-	t, ok := pl.Table(TableBasisToID)
-	if !ok {
-		return fmt.Errorf("zswitch: pipeline has no %s table", TableBasisToID)
-	}
 	var act [4]byte
 	binary.BigEndian.PutUint32(act[:], id)
-	return t.Install(basis.Bytes(), act[4-(p.cfg.IDBits+7)/8:], now)
+	return p.basisToID.Install(basis.Bytes(), act[4-(p.cfg.IDBits+7)/8:], now)
 }
 
 // DeleteBasisToID removes an encoder dictionary entry.
 func DeleteBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector) bool {
-	t, ok := pl.Table(TableBasisToID)
-	if !ok {
-		return false
-	}
-	return t.Delete(basis.Bytes())
+	p, err := loadedProgram(pl)
+	return err == nil && p.basisToID.Delete(basis.Bytes())
 }
 
 // InstallIDToBasis adds a decoder dictionary entry (id → basis).
@@ -41,22 +34,30 @@ func DeleteBasisToID(pl *tofino.Pipeline, basis *bitvec.Vector) bool {
 // the table; it allocates nothing once the table has held as many
 // entries.
 func InstallIDToBasis(pl *tofino.Pipeline, id uint32, basis *bitvec.Vector, now int64) error {
-	t, ok := pl.Table(TableIDToBasis)
-	if !ok {
-		return fmt.Errorf("zswitch: pipeline has no %s table", TableIDToBasis)
+	p, err := loadedProgram(pl)
+	if err != nil {
+		return err
 	}
 	key := IDKey(id)
-	return t.Install(key[:], basis.Bytes(), now)
+	return p.idToBasis.Install(key[:], basis.Bytes(), now)
 }
 
 // DeleteIDToBasis removes a decoder dictionary entry.
 func DeleteIDToBasis(pl *tofino.Pipeline, id uint32) bool {
-	t, ok := pl.Table(TableIDToBasis)
-	if !ok {
-		return false
-	}
+	p, err := loadedProgram(pl)
 	key := IDKey(id)
-	return t.Delete(key[:])
+	return err == nil && p.idToBasis.Delete(key[:])
+}
+
+// Tables returns a loaded pipeline's encoder and decoder dictionaries,
+// or nils when the pipeline runs another program. Control-plane reads
+// (idle times, entry counts) go through them.
+func Tables(pl *tofino.Pipeline) (basisToID, idToBasis *tofino.Table) {
+	p, err := loadedProgram(pl)
+	if err != nil {
+		return nil, nil
+	}
+	return p.basisToID, p.idToBasis
 }
 
 // loadedProgram extracts the ZipLine program from a loaded pipeline.
@@ -78,11 +79,8 @@ func Restart(pl *tofino.Pipeline) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, name := range []string{TableBasisToID, TableIDToBasis} {
-		if t, ok := pl.Table(name); ok {
-			t.Clear()
-		}
-	}
+	p.basisToID.Clear()
+	p.idToBasis.Clear()
 	pl.DrainDigests() // queued reports die with the reboot
 	p.bypass = false
 	p.epoch++
@@ -124,25 +122,25 @@ func SplitDigest(data []byte, basisBytes int) (basis []byte, epoch uint32) {
 // ExpiredBases returns the basis keys whose encoder-table idle
 // timeout has lapsed (the TNA aging notification feed).
 func ExpiredBases(pl *tofino.Pipeline, now int64) []string {
-	t, ok := pl.Table(TableBasisToID)
-	if !ok {
+	p, err := loadedProgram(pl)
+	if err != nil {
 		return nil
 	}
-	return t.ExpiredKeys(now)
+	return p.basisToID.ExpiredKeys(now)
 }
 
 // Stats is a snapshot of the program's classification counters. The
 // JSON field names are stable (scenario reports and sweep matrices
 // embed this struct and must diff cleanly).
 type Stats struct {
-	RawToType2 uint64 `json:"raw_to_type2"`
-	RawToType3 uint64 `json:"raw_to_type3"`
-	Type2ToRaw uint64 `json:"type2_to_raw"`
-	Type3ToRaw uint64 `json:"type3_to_raw"`
-	Forwarded  uint64 `json:"forwarded"`
-	TooShort   uint64 `json:"too_short"`
-	DecodeMiss uint64 `json:"decode_miss"`
-	Digests    uint64 `json:"digests"`
+	RawToType2 uint64 `json:"raw_to_type2"` // encoded, basis unknown
+	RawToType3 uint64 `json:"raw_to_type3"` // encoded and compressed
+	Type2ToRaw uint64 `json:"type2_to_raw"` // decoded from full basis
+	Type3ToRaw uint64 `json:"type3_to_raw"` // decoded via dictionary
+	Forwarded  uint64 `json:"forwarded"`    // no-op role or non-ZipLine
+	TooShort   uint64 `json:"too_short"`    // payload smaller than a chunk
+	DecodeMiss uint64 `json:"decode_miss"`  // type 3 with unknown ID (dropped)
+	Digests    uint64 `json:"digests"`      // new-basis reports emitted
 	// EncPayloadIn/EncPayloadOut count payload bytes entering and
 	// leaving the encode role for raw traffic; their ratio is the
 	// hop's exact compression ratio.
@@ -154,21 +152,14 @@ type Stats struct {
 	Bypass uint64 `json:"bypass,omitempty"`
 }
 
-// ReadStats snapshots the counters of a loaded pipeline.
+// ReadStats snapshots the counters of a loaded pipeline; a pipeline
+// running another program reads as zero.
 func ReadStats(pl *tofino.Pipeline) Stats {
-	return Stats{
-		RawToType2:    pl.Counter(CounterRawToType2),
-		RawToType3:    pl.Counter(CounterRawToType3),
-		Type2ToRaw:    pl.Counter(CounterType2ToRaw),
-		Type3ToRaw:    pl.Counter(CounterType3ToRaw),
-		Forwarded:     pl.Counter(CounterForwarded),
-		TooShort:      pl.Counter(CounterTooShort),
-		DecodeMiss:    pl.Counter(CounterDecodeMiss),
-		Digests:       pl.Counter(CounterDigests),
-		EncPayloadIn:  pl.Counter(CounterEncPayloadIn),
-		EncPayloadOut: pl.Counter(CounterEncPayloadOut),
-		Bypass:        pl.Counter(CounterBypass),
+	p, err := loadedProgram(pl)
+	if err != nil {
+		return Stats{}
 	}
+	return p.stats
 }
 
 // Add accumulates o into s (aggregating several pipelines' views).

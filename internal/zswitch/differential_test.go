@@ -36,8 +36,8 @@ type refModel struct {
 	idToBasis map[uint32]*bitvec.Vector
 	lastHit   map[string]int64
 
-	counters map[string]uint64
-	digests  [][]byte
+	stats   Stats
+	digests [][]byte
 }
 
 func newRefModel(prog *Program) *refModel {
@@ -48,7 +48,6 @@ func newRefModel(prog *Program) *refModel {
 		basisToID: make(map[string]uint32),
 		idToBasis: make(map[uint32]*bitvec.Vector),
 		lastHit:   make(map[string]int64),
-		counters:  make(map[string]uint64),
 	}
 }
 
@@ -86,21 +85,21 @@ func (m *refModel) encode(now int64, frame []byte) [][]byte {
 	hdr, payload, err := packet.ParseHeader(frame)
 	if err != nil || hdr.EtherType != packet.EtherTypeRaw || len(payload) < m.codec.ChunkBytes() {
 		if err == nil && hdr.EtherType == packet.EtherTypeRaw && len(payload) < m.codec.ChunkBytes() {
-			m.counters[CounterTooShort]++
-			m.counters[CounterEncPayloadIn] += uint64(len(payload))
-			m.counters[CounterEncPayloadOut] += uint64(len(payload))
+			m.stats.TooShort++
+			m.stats.EncPayloadIn += uint64(len(payload))
+			m.stats.EncPayloadOut += uint64(len(payload))
 		} else {
-			m.counters[CounterForwarded]++
+			m.stats.Forwarded++
 		}
 		return [][]byte{frame}
 	}
-	m.counters[CounterEncPayloadIn] += uint64(len(payload))
+	m.stats.EncPayloadIn += uint64(len(payload))
 	chunk := payload[:m.codec.ChunkBytes()]
 	tail := payload[m.codec.ChunkBytes():]
 	s, err := m.codec.SplitChunk(chunk)
 	if err != nil {
-		m.counters[CounterForwarded]++
-		m.counters[CounterEncPayloadOut] += uint64(len(payload))
+		m.stats.Forwarded++
+		m.stats.EncPayloadOut += uint64(len(payload))
 		return [][]byte{frame}
 	}
 	if id, hit := m.basisToID[BasisKey(s.Basis)]; hit {
@@ -112,19 +111,19 @@ func (m *refModel) encode(now int64, frame []byte) [][]byte {
 			Deviation: s.Deviation, Extra: s.Extra, ID: id,
 		})
 		out = append(out, tail...)
-		m.counters[CounterRawToType3]++
-		m.counters[CounterEncPayloadOut] += uint64(len(out) - packet.HeaderLen)
+		m.stats.RawToType3++
+		m.stats.EncPayloadOut += uint64(len(out) - packet.HeaderLen)
 		return [][]byte{out}
 	}
 	m.digests = append(m.digests, append([]byte(nil), s.Basis.Bytes()...))
-	m.counters[CounterDigests]++
+	m.stats.Digests++
 	out := packet.AppendHeader(nil, packet.Header{
 		Dst: hdr.Dst, Src: hdr.Src, EtherType: packet.EtherTypeUncompressed,
 	})
 	out = m.fmt.AppendType2(out, s)
 	out = append(out, tail...)
-	m.counters[CounterRawToType2]++
-	m.counters[CounterEncPayloadOut] += uint64(len(out) - packet.HeaderLen)
+	m.stats.RawToType2++
+	m.stats.EncPayloadOut += uint64(len(out) - packet.HeaderLen)
 	return [][]byte{out}
 }
 
@@ -138,7 +137,7 @@ func (m *refModel) decode(frame []byte) [][]byte {
 	var (
 		s    gd.Split
 		tail []byte
-		cnt  string
+		cnt  *uint64
 	)
 	switch hdr.Type() {
 	case packet.TypeUncompressed:
@@ -146,7 +145,7 @@ func (m *refModel) decode(frame []byte) [][]byte {
 		if err != nil {
 			return nil
 		}
-		cnt = CounterType2ToRaw
+		cnt = &m.stats.Type2ToRaw
 	case packet.TypeCompressed:
 		var c packet.Compressed
 		c, tail, err = m.fmt.ParseType3(payload)
@@ -155,13 +154,13 @@ func (m *refModel) decode(frame []byte) [][]byte {
 		}
 		basis, hit := m.idToBasis[c.ID]
 		if !hit {
-			m.counters[CounterDecodeMiss]++
+			m.stats.DecodeMiss++
 			return nil
 		}
 		s = gd.Split{Basis: basis, Deviation: c.Deviation, Extra: c.Extra}
-		cnt = CounterType3ToRaw
+		cnt = &m.stats.Type3ToRaw
 	default:
-		m.counters[CounterForwarded]++
+		m.stats.Forwarded++
 		return [][]byte{frame}
 	}
 	out := packet.AppendHeader(nil, packet.Header{
@@ -172,7 +171,7 @@ func (m *refModel) decode(frame []byte) [][]byte {
 		return nil
 	}
 	out = append(out, tail...)
-	m.counters[cnt]++
+	*cnt++
 	return [][]byte{out}
 }
 
@@ -303,22 +302,10 @@ func TestDifferentialDataplane(t *testing.T) {
 			}
 
 			// Counters must agree exactly (encoder + decoder vs model).
-			sum := make(map[string]uint64)
-			for name, v := range enc.Counters() {
-				sum[name] += v
-			}
-			for name, v := range dec.Counters() {
-				sum[name] += v
-			}
-			for name, want := range ref.counters {
-				if sum[name] != want {
-					t.Errorf("counter %s = %d, reference %d", name, sum[name], want)
-				}
-			}
-			for name, got := range sum {
-				if got != ref.counters[name] {
-					t.Errorf("counter %s = %d, reference %d", name, got, ref.counters[name])
-				}
+			got := ReadStats(enc)
+			got.Add(ReadStats(dec))
+			if got != ref.stats {
+				t.Errorf("stats = %+v\nreference %+v", got, ref.stats)
 			}
 
 			// Digests must agree in order and content.

@@ -22,8 +22,8 @@
 // The per-packet path is allocation-free in steady state: the basis
 // buffer and the output frame live in program-owned scratch that each
 // Process call reuses, table lookups match on raw header bytes, and
-// counters resolve to dense indices at Declare time — mirroring how
-// the hardware pipeline touches no allocator at line rate. The
+// the counters are plain fields of the program — mirroring how the
+// hardware pipeline touches no allocator at line rate. The
 // consequence, as on hardware, is that emitted frames are valid only
 // until the next packet enters the same program; callers that keep a
 // frame longer must copy it (netsim.Switch copies into a frame arena).

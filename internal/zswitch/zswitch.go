@@ -51,30 +51,6 @@ const (
 	DigestNewBasis = "new_basis"
 )
 
-// Counter names. Packets are classified by how they are transformed
-// (paper §5: "we add counters to our program to provide
-// easily-accessible statistics").
-const (
-	CounterRawToType2 = "raw_to_type2" // encoded, basis unknown
-	CounterRawToType3 = "raw_to_type3" // encoded and compressed
-	CounterType2ToRaw = "type2_to_raw" // decoded from full basis
-	CounterType3ToRaw = "type3_to_raw" // decoded via dictionary
-	CounterForwarded  = "forwarded"    // no-op role or non-ZipLine
-	CounterTooShort   = "too_short"    // payload smaller than a chunk
-	CounterDecodeMiss = "decode_miss"  // type 3 with unknown ID (dropped)
-	CounterDigests    = "digests"      // new-basis reports emitted
-	CounterBypass     = "bypass"       // raw frames forwarded under the bypass gate
-)
-
-// Byte counters on the encode path. They count payload bytes entering
-// and leaving the encode role for type-1 (raw) traffic, so
-// out ÷ in is the exact compression ratio of the hop the encoder
-// feeds — the quantity Figure 3 reports per dataset.
-const (
-	CounterEncPayloadIn  = "enc_payload_in_bytes"
-	CounterEncPayloadOut = "enc_payload_out_bytes"
-)
-
 // Config parameterises the program; zero values take the paper's
 // operating point.
 type Config struct {
@@ -137,18 +113,6 @@ type portEntry struct {
 	mapped bool
 }
 
-// counterSet holds the resolved counter handles, one struct field per
-// classification bucket — the Declare-time analogue of P4's
-// compile-time counter identifiers.
-type counterSet struct {
-	rawToType2, rawToType3      tofino.CounterHandle
-	type2ToRaw, type3ToRaw      tofino.CounterHandle
-	forwarded, tooShort         tofino.CounterHandle
-	decodeMiss, digests         tofino.CounterHandle
-	encPayloadIn, encPayloadOut tofino.CounterHandle
-	bypass                      tofino.CounterHandle
-}
-
 // scratch is the program's per-packet working memory, reused across
 // Process calls (the model of the pipeline's PHV and header buffers:
 // fixed resources, no allocator).
@@ -173,9 +137,12 @@ type Program struct {
 	// routing costs one map probe and no allocation.
 	macRoutes map[packet.MAC]tofino.Port
 
-	basisToID tofino.TableHandle
-	idToBasis tofino.TableHandle
-	ctr       counterSet
+	basisToID *tofino.Table
+	idToBasis *tofino.Table
+	// stats classifies packets by how they are transformed (paper §5:
+	// "we add counters to our program to provide easily-accessible
+	// statistics").
+	stats Stats
 
 	// epoch counts dataplane restarts. It rides in every digest once
 	// non-zero, so the controller can tell pre- and post-reboot state
@@ -190,8 +157,9 @@ type Program struct {
 	scr scratch
 }
 
-// New builds the program (the compile-time half; resources are bound
-// at pipeline Load).
+// New builds the program and its two dictionary tables (the
+// compile-time half; Load checks them against the resource budget and
+// binds them to the pipeline).
 func New(cfg Config) (*Program, error) {
 	cfg = cfg.withDefaults()
 	var tr gd.Transform
@@ -214,6 +182,24 @@ func New(cfg Config) (*Program, error) {
 		return nil, fmt.Errorf("zswitch: %w", err)
 	}
 	p := &Program{cfg: cfg, codec: codec, fmt: f}
+	capacity := 1 << uint(cfg.IDBits)
+	if p.basisToID, err = tofino.NewTable(tofino.TableSpec{
+		Name:          TableBasisToID,
+		KeyBits:       codec.BasisBits(),
+		ActionBits:    cfg.IDBits,
+		Capacity:      capacity,
+		IdleTimeoutNs: cfg.TTLNs,
+	}); err != nil {
+		return nil, fmt.Errorf("zswitch: %w", err)
+	}
+	if p.idToBasis, err = tofino.NewTable(tofino.TableSpec{
+		Name:       TableIDToBasis,
+		KeyBits:    cfg.IDBits,
+		ActionBits: codec.BasisBits(),
+		Capacity:   capacity,
+	}); err != nil {
+		return nil, fmt.Errorf("zswitch: %w", err)
+	}
 	maxIngress := -1
 	//ziplint:allow determinism max reduction is iteration-order-insensitive
 	for in, out := range cfg.PortMap {
@@ -271,49 +257,10 @@ func (p *Program) Format() packet.Format { return p.fmt }
 // Config returns the program's configuration with defaults applied.
 func (p *Program) Config() Config { return p.cfg }
 
-// Declare implements tofino.Program: the encoder and decoder
-// dictionaries plus classification counters.
-func (p *Program) Declare(a *tofino.Alloc) error {
-	capacity := 1 << uint(p.cfg.IDBits)
-	var err error
-	if p.basisToID, err = a.Table(tofino.TableSpec{
-		Name:          TableBasisToID,
-		KeyBits:       p.codec.BasisBits(),
-		ActionBits:    p.cfg.IDBits,
-		Capacity:      capacity,
-		IdleTimeoutNs: p.cfg.TTLNs,
-	}); err != nil {
-		return err
-	}
-	if p.idToBasis, err = a.Table(tofino.TableSpec{
-		Name:       TableIDToBasis,
-		KeyBits:    p.cfg.IDBits,
-		ActionBits: p.codec.BasisBits(),
-		Capacity:   capacity,
-	}); err != nil {
-		return err
-	}
-	for _, c := range []struct {
-		name string
-		h    *tofino.CounterHandle
-	}{
-		{CounterRawToType2, &p.ctr.rawToType2},
-		{CounterRawToType3, &p.ctr.rawToType3},
-		{CounterType2ToRaw, &p.ctr.type2ToRaw},
-		{CounterType3ToRaw, &p.ctr.type3ToRaw},
-		{CounterForwarded, &p.ctr.forwarded},
-		{CounterTooShort, &p.ctr.tooShort},
-		{CounterDecodeMiss, &p.ctr.decodeMiss},
-		{CounterDigests, &p.ctr.digests},
-		{CounterEncPayloadIn, &p.ctr.encPayloadIn},
-		{CounterEncPayloadOut, &p.ctr.encPayloadOut},
-		{CounterBypass, &p.ctr.bypass},
-	} {
-		if *c.h, err = a.Counter(c.name); err != nil {
-			return err
-		}
-	}
-	return nil
+// Tables implements tofino.Program: the encoder and decoder
+// dictionaries.
+func (p *Program) Tables() []*tofino.Table {
+	return []*tofino.Table{p.basisToID, p.idToBasis}
 }
 
 // Process implements tofino.Program.
@@ -333,7 +280,7 @@ func (p *Program) Process(ctx *tofino.Ctx, frame []byte, ingress tofino.Port, ou
 	case RoleDecode:
 		return p.decode(ctx, frame, pe.egress, out)
 	default:
-		ctx.Count(p.ctr.forwarded, 1)
+		p.stats.Forwarded++
 		return append(out, tofino.Emit{Port: pe.egress, Frame: frame})
 	}
 }
@@ -368,7 +315,7 @@ func (p *Program) processRouted(ctx *tofino.Ctx, frame []byte, ingress tofino.Po
 	case RoleDecode:
 		return p.decode(ctx, frame, egress, out)
 	default:
-		ctx.Count(p.ctr.forwarded, 1)
+		p.stats.Forwarded++
 		return append(out, tofino.Emit{Port: egress, Frame: frame})
 	}
 }
@@ -415,11 +362,11 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		if len(frame) >= packet.HeaderLen &&
 			binary.BigEndian.Uint16(frame[12:14]) == packet.EtherTypeRaw {
 			n := uint64(len(frame) - packet.HeaderLen)
-			ctx.Count(p.ctr.tooShort, 1)
-			ctx.Count(p.ctr.encPayloadIn, n)
-			ctx.Count(p.ctr.encPayloadOut, n)
+			p.stats.TooShort++
+			p.stats.EncPayloadIn += n
+			p.stats.EncPayloadOut += n
 		} else {
-			ctx.Count(p.ctr.forwarded, 1)
+			p.stats.Forwarded++
 		}
 		return append(out, tofino.Emit{Port: egress, Frame: frame})
 	}
@@ -428,12 +375,12 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		// Control-plane bypass gate: a downstream decoder's state is
 		// unconfirmed, so deliverable beats compressible — forward the
 		// raw frame untouched (ratio degrades, delivery holds).
-		ctx.Count(p.ctr.bypass, 1)
-		ctx.Count(p.ctr.encPayloadIn, uint64(len(payload)))
-		ctx.Count(p.ctr.encPayloadOut, uint64(len(payload)))
+		p.stats.Bypass++
+		p.stats.EncPayloadIn += uint64(len(payload))
+		p.stats.EncPayloadOut += uint64(len(payload))
 		return append(out, tofino.Emit{Port: egress, Frame: frame})
 	}
-	ctx.Count(p.ctr.encPayloadIn, uint64(len(payload)))
+	p.stats.EncPayloadIn += uint64(len(payload))
 
 	chunk := payload[:p.codec.ChunkBytes()]
 	tail := payload[p.codec.ChunkBytes():]
@@ -442,8 +389,8 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 	if err != nil {
 		// Unreachable by construction (chunk length checked above);
 		// treat as forward to stay total.
-		ctx.Count(p.ctr.forwarded, 1)
-		ctx.Count(p.ctr.encPayloadOut, uint64(len(payload)))
+		p.stats.Forwarded++
+		p.stats.EncPayloadOut += uint64(len(payload))
 		return append(out, tofino.Emit{Port: egress, Frame: frame})
 	}
 
@@ -460,8 +407,8 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		})
 		buf = append(buf, tail...)
 		p.scr.frame = buf
-		ctx.Count(p.ctr.rawToType3, 1)
-		ctx.Count(p.ctr.encPayloadOut, uint64(len(buf)-packet.HeaderLen))
+		p.stats.RawToType3++
+		p.stats.EncPayloadOut += uint64(len(buf) - packet.HeaderLen)
 		return append(out, tofino.Emit{Port: egress, Frame: buf})
 	}
 
@@ -477,15 +424,15 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		p.scr.digest = d
 		ctx.Digest(DigestNewBasis, d)
 	}
-	ctx.Count(p.ctr.digests, 1)
+	p.stats.Digests++
 	buf := p.frameScratch(packet.HeaderLen + p.fmt.Type2Len() + len(tail))
 	buf = append(buf, frame[:12]...)
 	buf = binary.BigEndian.AppendUint16(buf, packet.EtherTypeUncompressed)
 	buf = p.fmt.AppendType2Bytes(buf, basis, dev, extra)
 	buf = append(buf, tail...)
 	p.scr.frame = buf
-	ctx.Count(p.ctr.rawToType2, 1)
-	ctx.Count(p.ctr.encPayloadOut, uint64(len(buf)-packet.HeaderLen))
+	p.stats.RawToType2++
+	p.stats.EncPayloadOut += uint64(len(buf) - packet.HeaderLen)
 	return append(out, tofino.Emit{Port: egress, Frame: buf})
 }
 
@@ -502,7 +449,7 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		dev   uint32
 		extra uint8
 		tail  []byte
-		cnt   tofino.CounterHandle
+		cnt   *uint64
 		err   error
 	)
 	switch packet.TypeOf(binary.BigEndian.Uint16(frame[12:14])) {
@@ -514,7 +461,7 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		if !p.fmt.Aligned() {
 			p.scr.basis = basis // packed layout parses into the scratch
 		}
-		cnt = p.ctr.type2ToRaw
+		cnt = &p.stats.Type2ToRaw
 	case packet.TypeCompressed:
 		var c packet.Compressed
 		c, tail, err = p.fmt.ParseType3(payload)
@@ -526,14 +473,14 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		if !hit {
 			// The two-phase install protocol makes this impossible
 			// in steady state; count and drop if it ever happens.
-			ctx.Count(p.ctr.decodeMiss, 1)
+			p.stats.DecodeMiss++
 			return out
 		}
 		basis = act
 		dev, extra = c.Deviation, c.Extra
-		cnt = p.ctr.type3ToRaw
+		cnt = &p.stats.Type3ToRaw
 	default:
-		ctx.Count(p.ctr.forwarded, 1)
+		p.stats.Forwarded++
 		return append(out, tofino.Emit{Port: egress, Frame: frame})
 	}
 
@@ -546,7 +493,7 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 	}
 	buf = append(buf, tail...)
 	p.scr.frame = buf
-	ctx.Count(cnt, 1)
+	*cnt++
 	return append(out, tofino.Emit{Port: egress, Frame: buf})
 }
 

@@ -314,12 +314,24 @@ func TestInstallOnWrongPipeline(t *testing.T) {
 	if ExpiredBases(pl, 0) != nil {
 		t.Error("expiry on foreign pipeline returned keys")
 	}
+	if st := ReadStats(pl); st != (Stats{}) {
+		t.Errorf("foreign pipeline stats = %+v, want zero", st)
+	}
+	if b2i, i2b := Tables(pl); b2i != nil || i2b != nil {
+		t.Error("foreign pipeline has dictionary tables")
+	}
+	if _, err := Restart(pl); err == nil {
+		t.Error("restart of foreign pipeline succeeded")
+	}
+	if err := SetBypass(pl, true); err == nil {
+		t.Error("bypass on foreign pipeline succeeded")
+	}
 }
 
 type nopProgram struct{}
 
-func (nopProgram) Name() string                  { return "nop" }
-func (nopProgram) Declare(a *tofino.Alloc) error { return nil }
+func (nopProgram) Name() string            { return "nop" }
+func (nopProgram) Tables() []*tofino.Table { return nil }
 func (nopProgram) Process(ctx *tofino.Ctx, frame []byte, in tofino.Port, out []tofino.Emit) []tofino.Emit {
 	return out
 }
@@ -330,25 +342,6 @@ func TestBadConfigRejected(t *testing.T) {
 	}
 	if _, err := New(Config{IDBits: 30}); err == nil {
 		t.Error("bad IDBits accepted")
-	}
-}
-
-func BenchmarkEncodePath(b *testing.B) {
-	prog, _ := New(Config{
-		Roles:   map[tofino.Port]Role{0: RoleEncode},
-		PortMap: map[tofino.Port]tofino.Port{0: 1},
-	})
-	pl, _ := tofino.Load(tofino.Config{}, prog)
-	payload := make([]byte, 32)
-	rand.New(rand.NewSource(1)).Read(payload)
-	frame := rawFrame(payload)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ProcessCloned(pl, int64(i), frame, 0)
-		if pl.PendingDigests() > 1000 {
-			pl.DrainDigests()
-		}
 	}
 }
 
