@@ -116,7 +116,7 @@ type Stats struct {
 	// Retransmits counts control messages re-sent after a timeout.
 	Retransmits uint64 `json:"retransmits,omitempty"`
 	// Abandoned counts control messages dropped after the retry cap;
-	// the install they belonged to is reaped from inflight so a later
+	// the record of the install they belonged to is reaped so a later
 	// digest can re-learn the basis.
 	Abandoned uint64 `json:"abandoned,omitempty"`
 	// StaleDigests counts digests discarded because their epoch no
@@ -130,10 +130,16 @@ type Stats struct {
 	RecoveryNsMax int64 `json:"recovery_ns_max,omitempty"`
 }
 
-// mapping is one live dictionary entry from the controller's view.
-type mapping struct {
-	id    uint32
-	basis *bitvec.Vector
+// basisState is the controller's one record of a basis it accepted
+// from a digest: an install in flight until live, then a mapping on
+// every decoder and encoder. The record is dropped when the install
+// is abandoned or the mapping is evicted.
+type basisState struct {
+	id        uint32         // the mapping's identifier, once live
+	basis     *bitvec.Vector // what the install writes
+	emitted   netsim.Time    // the first digest's emission: learning delay starts here
+	live      bool           // installed everywhere; Mappings counts these
+	recycling bool           // live, with an eviction (LRU or TTL) pending
 }
 
 // Controller is the simulated control plane bound to one or more
@@ -150,10 +156,9 @@ type Controller struct {
 
 	basisBits int
 
-	free      []uint32
-	byKey     map[string]mapping     // installed encoder mappings
-	inflight  map[string]netsim.Time // digest accepted (value: first emit time), writes pending
-	recycling map[string]bool        // victims with a pending eviction
+	free   []uint32
+	bases  map[string]*basisState // keyed by the basis bytes, as digested
+	mapped int                    // live records
 
 	// Restart state (see reliable.go), idle while no switch crashes.
 	// switches maps a managed pipeline to its simulated switch so
@@ -167,12 +172,6 @@ type Controller struct {
 
 	stats  Stats
 	delays *stats.Sample // per-basis learning delay, milliseconds
-
-	// digestsBy attributes digests to the pipeline that emitted them,
-	// counted at the Bind tap (before delivery latency, so the count
-	// is schedule-neutral). Placement strategies read it as the
-	// per-switch redundancy signal.
-	digestsBy map[*tofino.Pipeline]uint64
 }
 
 // NewMulti builds a controller owning the dictionaries of one or more
@@ -198,13 +197,10 @@ func NewMulti(sim *netsim.Sim, cfg Config, encs, decs []*tofino.Pipeline, basisB
 		encs:        encs,
 		decs:        decs,
 		basisBits:   basisBits,
-		byKey:       make(map[string]mapping),
-		inflight:    make(map[string]netsim.Time),
-		recycling:   make(map[string]bool),
+		bases:       make(map[string]*basisState),
 		switches:    make(map[*tofino.Pipeline]*netsim.Switch),
 		bypassHolds: make(map[*tofino.Pipeline]int),
 		delays:      stats.New(),
-		digestsBy:   make(map[*tofino.Pipeline]uint64),
 	}
 	n := 1 << uint(cfg.IDBits)
 	first, limit := int(cfg.IDFirst), int(cfg.IDLimit)
@@ -234,35 +230,29 @@ func (c *Controller) Stats() Stats { return c.stats }
 func (c *Controller) LearningDelayMs() *stats.Sample { return c.delays }
 
 // Mappings reports the number of live basis→ID mappings.
-func (c *Controller) Mappings() int { return len(c.byKey) }
-
-// DigestsFrom reports how many new-basis digests the given pipeline
-// has emitted through this controller's Bind tap — the per-switch
-// redundancy signal placement strategies rank on.
-func (c *Controller) DigestsFrom(pl *tofino.Pipeline) uint64 { return c.digestsBy[pl] }
+func (c *Controller) Mappings() int { return c.mapped }
 
 // Bind subscribes the controller to a switch's digests, paying the
-// digest delivery latency for each. RegisterSwitch is implied: the
-// fault machinery learns which switch hosts the pipeline.
+// digest delivery latency for each and copying its basis once, into
+// the key of its record. RegisterSwitch is implied: the fault
+// machinery learns which switch hosts the pipeline.
 func (c *Controller) Bind(sw *netsim.Switch) {
 	c.RegisterSwitch(sw)
 	pl := sw.Pipeline()
+	basisBytes := (c.basisBits + 7) / 8
 	prev := sw.OnDigest
 	sw.OnDigest = func(ds []tofino.Digest) {
 		if prev != nil {
 			prev(ds)
 		}
 		for _, d := range ds {
-			if d.Name != zswitch.DigestNewBasis {
-				continue
-			}
-			c.digestsBy[pl]++
-			data, emitted := d.Data, d.EmittedAt
+			basis, epoch := zswitch.SplitDigest(d.Data, basisBytes)
+			key, size, emitted := string(basis), len(d.Data), d.EmittedAt
 			// The switch-side digest agent retransmits on timeout,
 			// capped: an abandoned digest is re-emitted naturally by
 			// the next miss for the same basis.
 			c.deliver(c.cfg.DigestLatencyNs, c.cfg.MaxRetries, func() {
-				c.handleDigest(pl, data, emitted)
+				c.handleDigest(pl, key, epoch, size, emitted)
 			})
 		}
 	}
@@ -306,29 +296,27 @@ func (c *Controller) Manages(pl *tofino.Pipeline) bool {
 // protocol whatever the channel.
 func (c *Controller) armed() bool { return c.cfg.Faults != nil }
 
-// handleDigest is the digest sink. It strips the epoch tag and
-// discards digests emitted by an earlier incarnation of src (only
-// messages already in flight at a crash), dedups against live and
-// mid-installation mappings and, when the basis is fresh, schedules
-// the allocation decision.
-func (c *Controller) handleDigest(src *tofino.Pipeline, data []byte, emitted netsim.Time) {
+// handleDigest is the digest sink for one basis (key) that src
+// reported in a size-byte digest tagged with epoch. It discards
+// digests emitted by an earlier incarnation of src (only messages
+// already in flight at a crash), dedups against every record (live or
+// mid-installation) and, when the basis is fresh, records it and
+// schedules the allocation decision.
+func (c *Controller) handleDigest(src *tofino.Pipeline, key string, epoch uint32, size int, emitted netsim.Time) {
 	c.stats.DigestsSeen++
-	c.stats.DigestBytes += uint64(len(data))
-	data, epoch := zswitch.SplitDigest(data, (c.basisBits+7)/8)
+	c.stats.DigestBytes += uint64(size)
 	if epoch != zswitch.Epoch(src) {
 		c.stats.StaleDigests++
 		return
 	}
-	basis := bitvec.FromBytes(data, c.basisBits)
-	key := zswitch.BasisKey(basis)
-	_, pending := c.inflight[key]
-	if _, known := c.byKey[key]; pending || known {
+	if _, known := c.bases[key]; known {
 		c.stats.Duplicates++
 		return
 	}
-	c.inflight[key] = emitted
+	st := &basisState{basis: bitvec.FromBytes([]byte(key), c.basisBits), emitted: emitted}
+	c.bases[key] = st
 	c.sim.After(c.sim.Jitter(c.cfg.DecisionNs, jitterFrac), func() {
-		c.allocate(key, basis)
+		c.allocate(key, st)
 	})
 }
 
@@ -336,35 +324,34 @@ func (c *Controller) handleDigest(src *tofino.Pipeline, data []byte, emitted net
 // available, otherwise the least recently used installed mapping's,
 // evicted from every encoder first (phase 0). The chain is tagged with
 // the current generation (see install).
-func (c *Controller) allocate(key string, basis *bitvec.Vector) {
+func (c *Controller) allocate(key string, st *basisState) {
 	gen := c.gen
 	if len(c.free) > 0 {
 		id := c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
-		c.install(key, basis, id, gen)
+		c.install(key, st, id, gen)
 		return
 	}
 	// Pool exhausted. If every mapping is mid-flight (a burst larger
 	// than the pool), retry after a write interval.
-	victimKey := c.pickVictim()
-	if victimKey == "" {
+	victimKey, victim := c.pickVictim()
+	if victim == nil {
 		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
-			c.allocate(key, basis)
+			c.allocate(key, st)
 		})
 		return
 	}
-	victim := c.byKey[victimKey]
-	c.recycling[victimKey] = true
+	victim.recycling = true
 	// Phase 0: stop every encoder from using the identifier. Eviction
 	// must land (a half-evicted identifier could be recycled into a
 	// conflicting mapping), so it retries without cap.
 	c.write(c.encs, retryForever, func(enc *tofino.Pipeline) {
 		zswitch.DeleteBasisToID(enc, victim.basis)
 	}, func(bool) {
-		delete(c.byKey, victimKey)
-		delete(c.recycling, victimKey)
+		delete(c.bases, victimKey)
+		c.mapped--
 		c.stats.Recycled++
-		c.install(key, basis, victim.id, gen)
+		c.install(key, st, victim.id, gen)
 	})
 }
 
@@ -373,24 +360,25 @@ func (c *Controller) allocate(key string, basis *bitvec.Vector) {
 // entry is as recent as its most recent hit anywhere, so its
 // effective idle time is the minimum across encoders. Victims with an
 // eviction already in flight are skipped so two learns never recycle
-// the same identifier; "" means every candidate is mid-flight.
-func (c *Controller) pickVictim() string {
-	victimKey := ""
+// the same identifier; a nil record means every candidate is
+// mid-flight.
+func (c *Controller) pickVictim() (string, *basisState) {
+	victimKey, victim := "", (*basisState)(nil)
 	victimIdle := int64(-1)
 	//ziplint:allow determinism min-idle reduction with lexicographic tie-break is iteration-order-insensitive
-	for k := range c.byKey {
-		if c.recycling[k] {
+	for k, st := range c.bases {
+		if !st.live || st.recycling {
 			continue
 		}
-		idle, live := c.idleAcrossEncoders(k)
-		if !live {
+		idle, held := c.idleAcrossEncoders(k)
+		if !held {
 			continue
 		}
 		if idle > victimIdle || (idle == victimIdle && k < victimKey) {
-			victimKey, victimIdle = k, idle
+			victimKey, victim, victimIdle = k, st, idle
 		}
 	}
-	return victimKey
+	return victimKey, victim
 }
 
 // idleAcrossEncoders reports how long key has been idle on every
@@ -422,22 +410,22 @@ func (c *Controller) idleAcrossEncoders(key string) (int64, bool) {
 // restarted since) is discarded write by write, and a tier that did
 // not fully acknowledge abandons the chain; on a lossless channel
 // neither happens.
-func (c *Controller) install(key string, basis *bitvec.Vector, id uint32, gen uint64) {
+func (c *Controller) install(key string, st *basisState, id uint32, gen uint64) {
 	// Phase 1: every decoder.
 	c.write(c.decs, c.cfg.MaxRetries, func(dec *tofino.Pipeline) {
 		if c.gen != gen {
 			return // stale chain: discard at delivery
 		}
-		if err := zswitch.InstallIDToBasis(dec, id, basis, c.sim.Now()); err != nil {
+		if err := zswitch.InstallIDToBasis(dec, id, st.basis, c.sim.Now()); err != nil {
 			panic(fmt.Sprintf("controlplane: decoder install: %v", err))
 		}
 	}, func(acked bool) {
 		if !acked || c.gen != gen {
 			// Abandoned or staled before any encoder write: no encoder
 			// maps the basis, so the identifier is safe to reuse (a
-			// future chain overwrites the decoders first). Reap the
-			// inflight entry so the next digest re-learns.
-			delete(c.inflight, key)
+			// future chain overwrites the decoders first). Drop the
+			// record so the next digest re-learns.
+			delete(c.bases, key)
 			c.free = append(c.free, id)
 			return
 		}
@@ -447,7 +435,7 @@ func (c *Controller) install(key string, basis *bitvec.Vector, id uint32, gen ui
 			if c.gen != gen {
 				return // stale chain: discard at delivery
 			}
-			if err := zswitch.InstallBasisToID(enc, basis, id, c.sim.Now()); err != nil {
+			if err := zswitch.InstallBasisToID(enc, st.basis, id, c.sim.Now()); err != nil {
 				panic(fmt.Sprintf("controlplane: encoder install: %v", err))
 			}
 		}, func(acked bool) {
@@ -458,14 +446,12 @@ func (c *Controller) install(key string, basis *bitvec.Vector, id uint32, gen ui
 				// than returned to the pool: a reuse would re-point
 				// decoder entries while the orphaned encoder entries
 				// still compress against the old basis.
-				delete(c.inflight, key)
+				delete(c.bases, key)
 				return
 			}
-			c.byKey[key] = mapping{id: id, basis: basis}
-			if emitted, ok := c.inflight[key]; ok {
-				c.delays.Add(float64(c.sim.Now()-emitted) / 1e6)
-			}
-			delete(c.inflight, key)
+			st.id, st.live = id, true
+			c.mapped++
+			c.delays.Add(float64(c.sim.Now()-st.emitted) / 1e6)
 			c.stats.Learned++
 		})
 	})
@@ -505,12 +491,11 @@ func (c *Controller) sweep() {
 	// Deterministic victim order despite map iteration above.
 	sort.Strings(keys)
 	for _, key := range keys {
-		m, known := c.byKey[key]
-		if !known || c.recycling[key] {
+		st, known := c.bases[key]
+		if !known || !st.live || st.recycling {
 			continue
 		}
-		c.recycling[key] = true
-		basis := m.basis
+		st.recycling = true
 		// One write per tier: encoder entries out first, then the
 		// decoder entries, then the identifier returns to the pool.
 		// Expiry writes the tables directly, not through write. Routed
@@ -521,18 +506,17 @@ func (c *Controller) sweep() {
 		// can reinstall an encoder mapping whose decoder entry the
 		// chain then deletes. The fold needs generation-tagged chains
 		// and the model test of ROADMAP item 6.
-		keyCopy, idCopy := key, m.id
 		c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
 			for _, enc := range c.encs {
-				zswitch.DeleteBasisToID(enc, basis)
+				zswitch.DeleteBasisToID(enc, st.basis)
 			}
-			delete(c.byKey, keyCopy)
-			delete(c.recycling, keyCopy)
+			delete(c.bases, key)
+			c.mapped--
 			c.sim.After(c.sim.Jitter(c.cfg.WriteLatencyNs, jitterFrac), func() {
 				for _, dec := range c.decs {
-					zswitch.DeleteIDToBasis(dec, idCopy)
+					zswitch.DeleteIDToBasis(dec, st.id)
 				}
-				c.free = append(c.free, idCopy)
+				c.free = append(c.free, st.id)
 				c.stats.Expired++
 			})
 		})

@@ -51,6 +51,87 @@ func newTestbed(t *testing.T, swCfg zswitch.Config, cpCfg Config) *testbed {
 	return &testbed{sim: sim, prog: prog, sw: sw, ctl: ctl, a: a, b: b}
 }
 
+// recordChecker returns a probe of the controller's per-basis records:
+// live identifiers are unique and none is also on the free list,
+// Mappings counts exactly the live records, and every other record is
+// an install in flight (no eviction pending, its vector its key).
+func recordChecker(t *testing.T, c *Controller) func() {
+	held := make([]bool, 1<<uint(c.cfg.IDBits)) // scratch, all false between probes
+	// The free list spans the pool, so it is scanned only after a step
+	// that could have put a live identifier on it: a commit (Learned
+	// moves) or a push (its length or top moves, unless pops and pushes
+	// left it as it was).
+	type freeSig struct {
+		learned uint64
+		n       int
+		top     uint32
+	}
+	sig := func() freeSig {
+		s := freeSig{learned: c.stats.Learned, n: len(c.free)}
+		if s.n > 0 {
+			s.top = c.free[s.n-1]
+		}
+		return s
+	}
+	scanned := freeSig{n: -1}
+	return func() {
+		t.Helper()
+		live := 0
+		for k, st := range c.bases {
+			switch {
+			case st.live:
+				if held[st.id] {
+					t.Fatalf("at %d ns: identifier %d is live in two records", c.sim.Now(), st.id)
+				}
+				held[st.id] = true
+				live++
+			case st.recycling:
+				t.Fatalf("at %d ns: record %x is being evicted but was never live", c.sim.Now(), k)
+			case st.basis == nil || string(st.basis.Bytes()) != k || st.emitted > c.sim.Now():
+				t.Fatalf("at %d ns: record %x is not an install in flight: %+v", c.sim.Now(), k, st)
+			}
+		}
+		if now := sig(); now != scanned {
+			for _, id := range c.free {
+				if held[id] {
+					t.Fatalf("at %d ns: identifier %d is both live and free", c.sim.Now(), id)
+				}
+			}
+			scanned = now
+		}
+		if c.Mappings() != live {
+			t.Fatalf("at %d ns: Mappings() = %d, %d live records", c.sim.Now(), c.Mappings(), live)
+		}
+		for _, st := range c.bases {
+			held[st.id] = false
+		}
+	}
+}
+
+// runChecked runs the simulation until its queue drains, probing the
+// controller's records after every microsecond of simulated time.
+// Controller latencies are tens of microseconds and up, so a probe
+// lands between almost every two steps of any one install.
+func runChecked(t *testing.T, c *Controller) {
+	t.Helper()
+	check := recordChecker(t, c)
+	for c.sim.Pending() > 0 {
+		c.sim.RunUntil(c.sim.Now() + netsim.Microsecond)
+		check()
+	}
+}
+
+// installsInFlight counts the records not yet live.
+func (c *Controller) installsInFlight() int {
+	n := 0
+	for _, st := range c.bases {
+		if !st.live {
+			n++
+		}
+	}
+	return n
+}
+
 func rawFrame(payload []byte) []byte {
 	return packet.Frame(packet.Header{EtherType: packet.EtherTypeRaw}, payload)
 }

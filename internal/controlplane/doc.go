@@ -13,6 +13,9 @@
 //     the forward (basis→ID) mapping in the encoder switch;
 //   - age entries out via TNA-style per-entry TTLs.
 //
+// The controller keeps one record per accepted basis, keyed by the
+// basis bytes as digested: an install in flight until it goes live.
+//
 // Every step pays a modelled latency (digest delivery, decision time,
 // one BfRt write per table touched). The defaults sum to the paper's
 // measured learning delay: a new basis becomes compressible

@@ -50,12 +50,15 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.At(0, func() { ctl.handleDigest(enc1, s.Basis.Bytes(), 0) })
+	key := string(s.Basis.Bytes())
+	sim.At(0, func() { ctl.handleDigest(enc1, key, 0, len(key), 0) })
 
 	// Invariant checked at every event boundary: an encoder never
 	// knows a basis whose ID any decoder cannot resolve.
 	probed := 0
+	checkRecords := recordChecker(t, ctl)
 	check := func() {
+		checkRecords()
 		for _, enc := range []*tofino.Pipeline{enc1, enc2} {
 			encTbl, _ := zswitch.Tables(enc)
 			if _, hit := encTbl.Get(s.Basis.Bytes()); !hit {
@@ -71,7 +74,7 @@ func TestMultiSwitchInstallOrder(t *testing.T) {
 		}
 	}
 	for sim.Pending() > 0 {
-		sim.RunUntil(sim.Now() + 10*netsim.Microsecond)
+		sim.RunUntil(sim.Now() + netsim.Microsecond)
 		check()
 	}
 	if probed == 0 {

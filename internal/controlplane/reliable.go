@@ -241,11 +241,13 @@ func (c *Controller) reinstallDecoder(pl *tofino.Pipeline, quarantined []*tofino
 	})
 }
 
-// sortedKeys snapshots byKey's keys in deterministic order.
+// sortedKeys snapshots the live records' keys in deterministic order.
 func (c *Controller) sortedKeys() []string {
-	keys := make([]string, 0, len(c.byKey))
-	for k := range c.byKey {
-		keys = append(keys, k)
+	keys := make([]string, 0, c.mapped)
+	for k, st := range c.bases {
+		if st.live {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys
@@ -255,8 +257,8 @@ func (c *Controller) sortedKeys() []string {
 // controller's cache — one batched reliable write's worth of entries.
 func (c *Controller) installAllIDToBasis(pl *tofino.Pipeline) {
 	for _, k := range c.sortedKeys() {
-		m := c.byKey[k]
-		if err := zswitch.InstallIDToBasis(pl, m.id, m.basis, c.sim.Now()); err != nil {
+		st := c.bases[k]
+		if err := zswitch.InstallIDToBasis(pl, st.id, st.basis, c.sim.Now()); err != nil {
 			panic(fmt.Sprintf("controlplane: decoder reinstall: %v", err))
 		}
 	}
@@ -266,8 +268,8 @@ func (c *Controller) installAllIDToBasis(pl *tofino.Pipeline) {
 // controller's cache.
 func (c *Controller) installAllBasisToID(pl *tofino.Pipeline) {
 	for _, k := range c.sortedKeys() {
-		m := c.byKey[k]
-		if err := zswitch.InstallBasisToID(pl, m.basis, m.id, c.sim.Now()); err != nil {
+		st := c.bases[k]
+		if err := zswitch.InstallBasisToID(pl, st.basis, st.id, c.sim.Now()); err != nil {
 			panic(fmt.Sprintf("controlplane: encoder reinstall: %v", err))
 		}
 	}

@@ -26,7 +26,7 @@ func TestArmedZeroLossStillLearns(t *testing.T) {
 	payload := make([]byte, 32)
 	rand.New(rand.NewSource(5)).Read(payload)
 	tb.a.Stream(0, 20*netsim.Millisecond, func(i uint64) []byte { return rawFrame(payload) })
-	tb.sim.Run()
+	runChecked(t, tb.ctl)
 
 	st := tb.ctl.Stats()
 	if st.Learned != 1 {
@@ -47,7 +47,7 @@ func TestLossyChannelRetransmitsAndLearns(t *testing.T) {
 	payload := make([]byte, 32)
 	rand.New(rand.NewSource(5)).Read(payload)
 	tb.a.Stream(0, 40*netsim.Millisecond, func(i uint64) []byte { return rawFrame(payload) })
-	tb.sim.Run()
+	runChecked(t, tb.ctl)
 
 	st := tb.ctl.Stats()
 	if st.Learned != 1 {
@@ -62,8 +62,8 @@ func TestLossyChannelRetransmitsAndLearns(t *testing.T) {
 	if rx := tb.b.Rx(); rx.TypeFrames[packet.TypeCompressed] == 0 {
 		t.Fatal("mapping never became usable")
 	}
-	if len(tb.ctl.inflight) != 0 {
-		t.Fatalf("inflight not drained: %d entries", len(tb.ctl.inflight))
+	if tb.ctl.installsInFlight() != 0 {
+		t.Fatalf("inflight not drained: %d entries", tb.ctl.installsInFlight())
 	}
 }
 
@@ -85,14 +85,14 @@ func TestInflightReapedOnAbandonment(t *testing.T) {
 	tb.a.Stream(0, 30*netsim.Millisecond, func(i uint64) []byte {
 		return rawFrame(payloads[i%uint64(len(payloads))])
 	})
-	tb.sim.Run()
+	runChecked(t, tb.ctl)
 
 	st := tb.ctl.Stats()
 	if st.Abandoned == 0 {
 		t.Fatalf("80%% loss with MaxRetries=1 abandoned nothing: %+v", st)
 	}
-	if len(tb.ctl.inflight) != 0 {
-		t.Fatalf("abandoned chains pinned %d inflight entries", len(tb.ctl.inflight))
+	if tb.ctl.installsInFlight() != 0 {
+		t.Fatalf("abandoned chains pinned %d inflight entries", tb.ctl.installsInFlight())
 	}
 	// Identifiers from chains that died before any encoder write must
 	// be back in the pool: the free list plus live and mid-flight
@@ -113,20 +113,22 @@ func TestStaleEpochDigestDiscarded(t *testing.T) {
 	basisBytes := (tb.ctl.basisBits + 7) / 8
 	data := make([]byte, basisBytes+4)
 	data[basisBytes+3] = 9 // epoch 9; the switch is on epoch 0
-	tb.ctl.handleDigest(pl, data, 0)
+	basis, epoch := zswitch.SplitDigest(data, basisBytes)
+	tb.ctl.handleDigest(pl, string(basis), epoch, len(data), 0)
 
 	st := tb.ctl.Stats()
 	if st.StaleDigests != 1 {
 		t.Fatalf("StaleDigests = %d, want 1", st.StaleDigests)
 	}
-	if len(tb.ctl.inflight) != 0 || tb.ctl.Mappings() != 0 {
+	if tb.ctl.installsInFlight() != 0 || tb.ctl.Mappings() != 0 {
 		t.Fatal("stale digest started an install")
 	}
 
 	// The same bytes with the correct (zero) epoch are accepted.
-	tb.ctl.handleDigest(pl, data[:basisBytes+4-4], 0)
-	if len(tb.ctl.inflight) != 1 {
-		t.Fatalf("current-epoch digest not accepted: inflight=%d", len(tb.ctl.inflight))
+	basis, epoch = zswitch.SplitDigest(data[:basisBytes], basisBytes)
+	tb.ctl.handleDigest(pl, string(basis), epoch, basisBytes, 0)
+	if tb.ctl.installsInFlight() != 1 {
+		t.Fatalf("current-epoch digest not accepted: inflight=%d", tb.ctl.installsInFlight())
 	}
 }
 

@@ -37,7 +37,7 @@ type link struct{ prev, next uint32 }
 // Dynamic identifier id is entry id−base of one slab.Index (see the
 // package comment). A dictionary serves one codec, so every basis has
 // the same bit length (checked) and the basis bytes alone are the key —
-// the key zswitch.BasisKey and the root package's Dict use too.
+// the key of zswitch's basis_to_id table and of the root package's Dict.
 //
 // The vectors LookupIDTouch and Insert return are the dictionary's own
 // scratch, and TouchID's bytes a read-only view of its slab: both stay

@@ -316,15 +316,19 @@ func TestSwitchDigestTap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ha, sw, hb := buildHostSwitchHost(t, s, prog, HostConfig{})
-	var digests []tofino.Digest
-	sw.OnDigest = func(ds []tofino.Digest) { digests = append(digests, ds...) }
+	var digests [][]byte
+	sw.OnDigest = func(ds []tofino.Digest) {
+		for _, d := range ds {
+			digests = append(digests, append([]byte(nil), d.Data...)) // views die with the next packet
+		}
+	}
 	payload := make([]byte, 32)
 	payload[0] = 0xAB
 	frame := packet.Frame(packet.Header{EtherType: packet.EtherTypeRaw}, payload)
 	s.At(0, func() { ha.Send(frame) })
 	s.Run()
-	if len(digests) != 1 || digests[0].Name != zswitch.DigestNewBasis {
-		t.Fatalf("digests = %+v", digests)
+	if basisBytes := (prog.Codec().BasisBits() + 7) / 8; len(digests) != 1 || len(digests[0]) != basisBytes {
+		t.Fatalf("digests = %x, want one %d-byte basis", digests, basisBytes)
 	}
 	if hb.Rx().TypeFrames[packet.TypeUncompressed] != 1 {
 		t.Fatalf("rx types = %+v", hb.Rx().TypeFrames)

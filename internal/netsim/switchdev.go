@@ -55,7 +55,8 @@ type Switch struct {
 
 	// OnDigest, when set, receives digests drained after each
 	// processed packet. The control plane applies its own delivery
-	// latency; the tap itself is immediate.
+	// latency; the tap itself is immediate. The digests are views the
+	// next packet reuses: copy what is kept before the callback returns.
 	OnDigest func(ds []tofino.Digest)
 }
 

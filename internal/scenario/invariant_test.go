@@ -3,7 +3,6 @@ package scenario
 import (
 	"testing"
 
-	"zipline/internal/bitvec"
 	"zipline/internal/netsim"
 	"zipline/internal/tofino"
 	"zipline/internal/zswitch"
@@ -39,11 +38,8 @@ func TestEncoderMappingsResolveAtEveryDecoder(t *testing.T) {
 				prev := sw.OnDigest
 				sw.OnDigest = func(ds []tofino.Digest) {
 					for _, d := range ds {
-						if d.Name != zswitch.DigestNewBasis {
-							continue
-						}
 						b, _ := zswitch.SplitDigest(d.Data, (basisBits+7)/8)
-						key := zswitch.BasisKey(bitvec.FromBytes(b, basisBits))
+						key := string(b)
 						if !known[key] {
 							known[key] = true
 							digested = append(digested, key)

@@ -5,6 +5,7 @@ import (
 
 	"zipline/internal/placement"
 	"zipline/internal/topo"
+	"zipline/internal/zswitch"
 )
 
 // Topology kinds accepted by TopologySpec.Kind.
@@ -321,7 +322,7 @@ func profileScores(spec Spec, g *topo.Graph, flows []topo.Flow, idBits, profileR
 	scores := make(map[string]uint64, len(plan.Switches))
 	for _, sp := range plan.Switches {
 		if sp.Encode {
-			scores[sp.Name] = sc.Ctl.DigestsFrom(sc.pipes[sp.Name])
+			scores[sp.Name] = zswitch.ReadStats(sc.pipes[sp.Name]).Digests
 		}
 	}
 	return scores, nil

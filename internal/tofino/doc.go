@@ -12,7 +12,9 @@
 //     action a lookup returns is a view into the table, valid only
 //     until the table's next control-plane write;
 //   - digests, the data-plane→control-plane message channel used to
-//     report unknown bases;
+//     report unknown bases, queued in an arena the pipeline reuses
+//     after each drain: a drained digest is a view, valid until the
+//     next ProcessAppend;
 //   - an SRAM resource model that bounds table sizes the way the
 //     hardware does (the reason the paper settles on 15-bit IDs).
 //

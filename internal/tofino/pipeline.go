@@ -16,9 +16,9 @@ type Emit struct {
 
 // Digest is a data-plane→control-plane message (TNA digests). ZipLine
 // uses them to report unknown bases (paper §5: "unknown bases are
-// sent up by means of digests").
+// sent up by means of digests"). Data is a view into the pipeline's
+// digest arena (see DrainDigests).
 type Digest struct {
-	Name      string
 	Data      []byte
 	EmittedAt int64 // virtual ns
 }
@@ -73,7 +73,8 @@ type Pipeline struct {
 	cfg  Config
 	prog Program
 
-	digests []Digest
+	digests []Digest // queued; each Data is a view into arena
+	arena   []byte
 	sram    int64
 
 	ctx Ctx // reused across packets: Process is single-threaded
@@ -144,10 +145,11 @@ func (p *Pipeline) ProcessAppend(now int64, frame []byte, ingress Port, out []Em
 
 // DrainDigests removes and returns all queued digests. The control
 // plane (or the simulator acting for it) calls this; delivery latency
-// is the caller's concern.
+// is the caller's concern. The digests and their Data are views valid
+// until the next ProcessAppend, which reuses them.
 func (p *Pipeline) DrainDigests() []Digest {
 	d := p.digests
-	p.digests = nil
+	p.digests, p.arena = p.digests[:0], p.arena[:0]
 	return d
 }
 
@@ -186,9 +188,14 @@ func (c *Ctx) ApplyBytes(t *Table, key []byte) ([]byte, bool) {
 	return t.lookupBytes(key, c.now)
 }
 
-// Digest queues a digest for the control plane.
-func (c *Ctx) Digest(name string, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.p.digests = append(c.p.digests, Digest{Name: name, Data: cp, EmittedAt: c.now})
+// Digest queues a digest for the control plane, copying data into the
+// pipeline's digest arena; it allocates nothing once the queue and the
+// arena have grown to their high-water mark.
+//
+//zipline:noalloc
+func (c *Ctx) Digest(data []byte) {
+	p := c.p
+	start := len(p.arena)
+	p.arena = append(p.arena, data...)
+	p.digests = append(p.digests, Digest{Data: p.arena[start:len(p.arena):len(p.arena)], EmittedAt: c.now})
 }

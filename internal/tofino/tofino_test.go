@@ -34,7 +34,7 @@ func (p *echoProg) Process(ctx *Ctx, frame []byte, ingress Port, out []Emit) []E
 		p.hits++
 	} else {
 		p.misses++
-		ctx.Digest("unknown", frame[:4])
+		ctx.Digest(frame[:4])
 	}
 	if p.applyTwice {
 		ctx.ApplyBytes(p.tbl, key)
@@ -77,7 +77,7 @@ func TestPipelineBasicFlow(t *testing.T) {
 	}
 
 	ds := p.DrainDigests()
-	if len(ds) != 1 || ds[0].Name != "unknown" || ds[0].EmittedAt != 100 {
+	if len(ds) != 1 || string(ds[0].Data) != string(frame[:4]) || ds[0].EmittedAt != 100 {
 		t.Fatalf("digests = %+v", ds)
 	}
 	if p.PendingDigests() != 0 {
@@ -85,6 +85,11 @@ func TestPipelineBasicFlow(t *testing.T) {
 	}
 }
 
+// TestDigestDataIsCopied pins the digest queue's contract: Digest
+// copies its payload (the caller's bytes may change right after), a
+// queued digest keeps its bytes and timestamp until the drain however
+// far later digests grow the arena, and a drain hands the queue's
+// buffers back for the passes after it to reuse.
 func TestDigestDataIsCopied(t *testing.T) {
 	p := load(t, newEchoProg(t))
 	frame := []byte{9, 9, 9, 9}
@@ -93,6 +98,63 @@ func TestDigestDataIsCopied(t *testing.T) {
 	d := p.DrainDigests()
 	if d[0].Data[0] != 9 {
 		t.Fatal("digest aliases caller memory")
+	}
+
+	const n = 300 // ~1.2 KB of payload: the arena regrows several times
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte{byte(i >> 8), byte(i), 0xD1, 0x9E}
+	}
+	key := func(i int) []byte { return keys[i] }
+	out := make([]Emit, 0, 1)
+	queue := func() (grew int) {
+		for i := 0; i < n; i++ {
+			before := cap(p.arena)
+			out = p.ProcessAppend(int64(1000+i), key(i), 0, out[:0])
+			if cap(p.arena) != before {
+				grew++
+			}
+		}
+		return grew
+	}
+	check := func(ds []Digest) {
+		t.Helper()
+		if len(ds) != n {
+			t.Fatalf("drained %d digests, want %d", len(ds), n)
+		}
+		for i, d := range ds {
+			if string(d.Data) != string(key(i)) || d.EmittedAt != int64(1000+i) {
+				t.Fatalf("digest %d = %x@%d, want %x@%d", i, d.Data, d.EmittedAt, key(i), 1000+i)
+			}
+			if cap(d.Data) != len(d.Data) {
+				t.Fatalf("digest %d: cap %d > len %d, an append would write into the arena", i, cap(d.Data), len(d.Data))
+			}
+		}
+	}
+	if grew := queue(); grew < 2 {
+		t.Fatalf("arena grew %d times over %d digests; the case needs regrowth", grew, n)
+	}
+	first := p.DrainDigests()
+	check(first)
+	if p.PendingDigests() != 0 {
+		t.Fatal("drain did not clear")
+	}
+
+	// The next round reuses both buffers: no growth, no allocation,
+	// and the queue lands where the drained one was.
+	if grew := queue(); grew != 0 {
+		t.Fatalf("arena grew %d times after a drain, want reuse", grew)
+	}
+	second := p.DrainDigests()
+	check(second)
+	if &second[0] != &first[0] {
+		t.Fatal("digest queue not reused after the drain")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		queue()
+		p.DrainDigests()
+	}); allocs != 0 {
+		t.Fatalf("a drained queue refills with %.1f allocs, want 0", allocs)
 	}
 }
 

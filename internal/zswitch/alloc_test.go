@@ -49,6 +49,53 @@ func TestEncodeSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeMissZeroAllocs pins the miss path: with an empty
+// dictionary every packet digests its basis and leaves as type 2. The
+// pipeline reuses its digest queue and arena once they are drained, so
+// an encoder drained every few packets allocates nothing, both for the
+// bare-basis digests of epoch 0 and the epoch-tagged ones after a
+// Restart.
+func TestEncodeMissZeroAllocs(t *testing.T) {
+	const drainEvery = 16
+	for _, cfg := range []Config{{}, {Packed: true}} {
+		prog, pl := loadRole(t, cfg, RoleEncode)
+		frame := testRawFrame(prog, 15)
+		basisBytes := (prog.Codec().BasisBits() + 7) / 8
+		scratch := make([]tofino.Emit, 0, 4)
+		now := int64(0)
+		var drained []tofino.Digest
+		burst := func() {
+			for i := 0; i < drainEvery; i++ {
+				now++
+				scratch = pl.ProcessAppend(now, frame, 0, scratch[:0])
+			}
+			drained = pl.DrainDigests()
+		}
+		for epoch := uint32(0); epoch < 2; epoch++ {
+			if epoch == 1 {
+				if _, err := Restart(pl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			burst() // warmup: the queue and arena reach their high-water mark
+			if n := testing.AllocsPerRun(50, burst); n != 0 {
+				t.Errorf("cfg %+v, epoch %d: encode miss allocates %.2f per packet, want 0", cfg, epoch, n/drainEvery)
+			}
+			if len(drained) != drainEvery {
+				t.Fatalf("cfg %+v, epoch %d: drained %d digests, want %d", cfg, epoch, len(drained), drainEvery)
+			}
+			for _, d := range drained {
+				if _, got := SplitDigest(d.Data, basisBytes); got != epoch {
+					t.Fatalf("cfg %+v: digest carries epoch %d, want %d", cfg, got, epoch)
+				}
+			}
+		}
+		if st := ReadStats(pl); st.RawToType3 != 0 || st.Digests != st.RawToType2 {
+			t.Fatalf("cfg %+v: not the miss path: %+v", cfg, st)
+		}
+	}
+}
+
 func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 	for _, cfg := range []Config{{}, {Packed: true}} {
 		encProg, encPl := loadRole(t, cfg, RoleEncode)

@@ -81,8 +81,10 @@ func BenchmarkSwitchEncode(b *testing.B) {
 
 // BenchmarkSwitchEncodeMiss measures the encode path with an empty
 // dictionary: every packet misses, so each one digests its basis to
-// the control plane and leaves as type 2. The digest copy is the
-// path's one allocation; the queue is drained every 1 000 packets.
+// the control plane and leaves as type 2. The queue is drained every
+// 1 000 packets, and the pipeline reuses its queue and digest arena
+// after each drain, so the path allocates nothing
+// (TestEncodeMissZeroAllocs pins it).
 func BenchmarkSwitchEncodeMiss(b *testing.B) {
 	prog, pl := benchPipeline(b, RoleEncode)
 	frame := benchRawFrame(prog, 1)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"zipline/internal/bch"
-	"zipline/internal/bitvec"
 	"zipline/internal/gd"
 	"zipline/internal/packet"
 	"zipline/internal/tofino"
@@ -35,7 +34,7 @@ func (r Role) String() string {
 	}
 }
 
-// Table and digest names, part of the control-plane contract.
+// Table names, part of the control-plane contract.
 const (
 	// TableBasisToID is the encoder dictionary (basis → identifier).
 	// Keys are the raw basis bytes (ceil(BasisBits/8), zero tail
@@ -46,9 +45,6 @@ const (
 	// Keys are the 4-byte big-endian identifier (IDKey); the action is
 	// the raw basis bytes.
 	TableIDToBasis = "id_to_basis"
-	// DigestNewBasis reports a basis missing from the encoder
-	// dictionary.
-	DigestNewBasis = "new_basis"
 )
 
 // Config parameterises the program; zero values take the paper's
@@ -414,7 +410,7 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 
 	// Unknown basis: report to the control plane and emit type 2.
 	if p.epoch == 0 {
-		ctx.Digest(DigestNewBasis, basis)
+		ctx.Digest(basis)
 	} else {
 		// Post-restart digests carry the epoch so the controller can
 		// spot a reboot even before (or without) its notification.
@@ -422,7 +418,7 @@ func (p *Program) encode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 		d = append(d, basis...)
 		d = binary.BigEndian.AppendUint32(d, p.epoch)
 		p.scr.digest = d
-		ctx.Digest(DigestNewBasis, d)
+		ctx.Digest(d)
 	}
 	p.stats.Digests++
 	buf := p.frameScratch(packet.HeaderLen + p.fmt.Type2Len() + len(tail))
@@ -496,10 +492,6 @@ func (p *Program) decode(ctx *tofino.Ctx, frame []byte, egress tofino.Port, out 
 	*cnt++
 	return append(out, tofino.Emit{Port: egress, Frame: buf})
 }
-
-// BasisKey renders a basis as the raw-byte table key used by
-// TableBasisToID: the basis bytes themselves, no framing.
-func BasisKey(basis *bitvec.Vector) string { return string(basis.Bytes()) }
 
 // IDKey renders a dictionary identifier as the table key used by
 // TableIDToBasis.
